@@ -80,7 +80,10 @@ def sample_defects(
     defective iff its uniform draw falls below ``p[k]``, and the stuck
     value is bit 0 of the same sampler word (the uniform only consumes
     bits 11..63), so one draw decides both -- and
-    :func:`unit_defects` reproduces any unit exactly.
+    :func:`unit_defects` reproduces any unit exactly.  Defects are
+    sparse, so each stuck value is drawn with the scalar
+    :meth:`~repro.mc.sampling.SubstreamSampler.bit` rather than a
+    whole ``(cells, block)`` bit matrix.
     """
     if hi < lo:
         raise PDKError(f"empty unit range [{lo}, {hi})")
@@ -89,18 +92,12 @@ def sample_defects(
     defects: dict[int, list[StuckAtFault]] = {}
     for start in range(lo, hi, block):
         stop = min(start + block, hi)
-        uniforms = sampler.uniforms(start, stop)
-        mask = uniforms < p[:, None]
-        if not mask.any():
-            continue
-        bits = sampler.bits(start, stop)
+        mask = sampler.uniforms(start, stop) < p[:, None]
         cell_rows, unit_cols = np.nonzero(mask)
-        stuck = bits[cell_rows, unit_cols]
-        for k, j, s in zip(
-            cell_rows.tolist(), unit_cols.tolist(), stuck.tolist()
-        ):
-            defects.setdefault(start + j, []).append(
-                StuckAtFault(instance_index=k, stuck_value=int(s))
+        for k, j in zip(cell_rows.tolist(), unit_cols.tolist()):
+            unit = start + j
+            defects.setdefault(unit, []).append(
+                StuckAtFault(instance_index=k, stuck_value=sampler.bit(k, unit))
             )
     return {unit: tuple(faults) for unit, faults in defects.items()}
 

@@ -108,13 +108,15 @@ class Netlist:
         self.reset_n: int | None = None
 
     def __getstate__(self) -> dict:
-        """Pickle support: drop the compiled-code attachment.
+        """Pickle support: drop the simulation attachments.
 
         :func:`repro.netlist.compile.compiled_netlist` caches exec'd
         function objects on the netlist; those are not picklable and
         are cheap to rebuild (they have their own on-disk artifact
-        cache), so the on-disk netlist artifact and process-pool
-        transfers carry structure only.
+        cache).  :func:`repro.netlist.nsim.numpy_netlist` caches
+        gather plans that rebuild in milliseconds.  So the on-disk
+        netlist artifact and process-pool transfers carry structure
+        only.
         """
         state = dict(self.__dict__)
         state.pop("_compiled_sim", None)

@@ -1,17 +1,19 @@
 """Property test: random logic DAGs built through the mapped builder
 evaluate identically to their Python reference -- across constant
-folding, CSE, fast reduction trees, and NAND-mapped muxes."""
+folding, CSE, fast reduction trees, and NAND-mapped muxes -- on the
+interpreted simulator and on numpy bit-slice lanes."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netlist.core import CONST0, CONST1, Netlist
+from repro.netlist.nsim import NumpySimulator
 from tests.netlist.helpers import evaluate
 
 #: Operation vocabulary: (name, arity).
 OPS = [
     ("not", 1), ("and", 2), ("or", 2), ("xor", 2),
-    ("nand", 2), ("nor", 2), ("xnor", 2), ("mux", 3),
+    ("nand", 2), ("nor", 2), ("xnor", 2), ("mux", 3), ("tsbuf", 2),
 ]
 
 node_strategy = st.lists(
@@ -55,15 +57,18 @@ def build_both(netlist, ops, input_nets, input_values):
         elif name == "xnor":
             nets.append(netlist.xnor(nets[a], nets[b]))
             values.append((values[a] ^ values[b]) ^ 1)
+        elif name == "tsbuf":  # no generated core instantiates TSBUF
+            nets.append(netlist.add_instance("TSBUFX1", (nets[a], nets[b])))
+            values.append(values[a] & values[b])
         else:  # mux
             nets.append(netlist.mux(nets[a], nets[b], nets[c]))
             values.append(values[c] if values[a] else values[b])
     return nets, values
 
 
-@settings(max_examples=120, deadline=None)
-@given(ops=node_strategy, inputs=st.integers(0, 15))
-def test_random_dag_matches_python_eval(ops, inputs):
+def build_dag(ops, inputs):
+    """The DAG with outputs ``y`` = its last eight nodes, and the Python
+    value of ``y`` when input ``x`` is ``inputs``."""
     netlist = Netlist("random")
     bus = netlist.input_bus("x", 4)
     input_values = [(inputs >> i) & 1 for i in range(4)]
@@ -72,7 +77,20 @@ def test_random_dag_matches_python_eval(ops, inputs):
     expected = 0
     for i, value in enumerate(values[-8:]):
         expected |= value << i
+    return netlist, expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=node_strategy, inputs=st.integers(0, 15))
+def test_random_dag_matches_python_eval(ops, inputs):
+    netlist, expected = build_dag(ops, inputs)
     assert evaluate(netlist, x=inputs)["y"] == expected
+    # One numpy lane per input value, every lane against Python.
+    per_value = [build_dag(ops, value)[1] for value in range(16)]
+    lanes = NumpySimulator(netlist, 16)
+    lanes.set_input("x", list(range(16)))
+    lanes.settle()
+    assert lanes.read_output("y") == per_value
 
 
 @settings(max_examples=60, deadline=None)
