@@ -17,7 +17,7 @@ configuration and reports what a print run would actually deliver:
 
 Sharding: units are split into fixed ``[lo, hi)`` blocks of
 ``spec.block`` and fanned across :func:`repro.exec.parallel_map`
-workers with a warm initializer that builds the per-spec context
+workers with a warm initializer that builds the per-core context
 (netlist, program, golden signature) once per worker.  Every sample is
 a pure function of ``(seed, cell, unit)`` and shard summaries are
 mergeable :class:`~repro.mc.sketch.QuantileSketch` instances folded in
@@ -65,9 +65,12 @@ _SHARDS = obs.counter("mc.shards")
 class YieldSpec:
     """Everything that determines a campaign except fleet size and jobs.
 
-    Value-typed and hashable on purpose: workers memoize their
-    prepared context keyed on the spec, and two equal specs must
-    produce bit-identical fleets.
+    Value-typed and hashable on purpose: two equal specs must produce
+    bit-identical fleets.  Workers memoize their prepared context
+    (program, campaign, golden signature) keyed on ``config``,
+    ``program_name`` and ``program_width`` only -- the fields it
+    depends on -- so campaigns that differ in seed, technology, sigma
+    or device yield reuse it.
 
     Attributes:
         config: Core configuration to print.
@@ -99,24 +102,26 @@ class YieldSpec:
 
 @dataclass
 class _SpecContext:
-    """Per-spec invariants a worker prepares once (then per-chunk reuse)."""
+    """Per-core invariants a worker prepares once (then per-chunk reuse)."""
 
     program: object
-    library: object
     campaign: object  # fault_test campaign context (netlist, ROM, ...)
     cycles: int
     golden: tuple
 
 
-# One-slot per-spec context memo, mirroring fault_test's worker memo:
-# every shard of a campaign shares the spec, so each worker elaborates
-# the core and runs the golden reference exactly once.
-_WORKER_CONTEXT: tuple[YieldSpec, _SpecContext] | None = None
+# One-slot context memo, mirroring fault_test's worker memo: every
+# shard of a campaign shares the core and program, so each worker
+# elaborates the core and runs the golden reference exactly once, and
+# back-to-back campaigns on one core (other seed, technology, sigma or
+# device yield) skip it entirely.
+_WORKER_CONTEXT: tuple[tuple, _SpecContext] | None = None
 
 
 def _spec_context(spec: YieldSpec) -> _SpecContext:
     global _WORKER_CONTEXT
-    if _WORKER_CONTEXT is None or _WORKER_CONTEXT[0] != spec:
+    key = (spec.config, spec.program_name, spec.program_width)
+    if _WORKER_CONTEXT is None or _WORKER_CONTEXT[0] != key:
         program = build_benchmark(
             spec.program_name,
             spec.program_width,
@@ -128,12 +133,11 @@ def _spec_context(spec: YieldSpec) -> _SpecContext:
         cycles = machine.stats.instructions
         context = _SpecContext(
             program=program,
-            library=technology_library(spec.technology),
             campaign=prepare_context(program, spec.config),
             cycles=cycles,
             golden=golden_signature(program, spec.config, cycles),
         )
-        _WORKER_CONTEXT = (spec, context)
+        _WORKER_CONTEXT = (key, context)
     return _WORKER_CONTEXT[1]
 
 
@@ -141,15 +145,16 @@ def _run_shard(spec: YieldSpec, shard: tuple[int, int]) -> dict:
     """One unit block: timing sketch + defect simulation tallies."""
     lo, hi = shard
     context = _spec_context(spec)
+    library = technology_library(spec.technology)
     netlist = context.campaign.netlist
     delays = sample_delays(
-        netlist, context.library, spec.sigma, lo, hi, spec.seed, block=spec.block
+        netlist, library, spec.sigma, lo, hi, spec.seed, block=spec.block
     )
     sketch = QuantileSketch()
     sketch.add_array(delays)
 
     defects = sample_defects(
-        netlist, context.library, spec.device_yield, lo, hi, spec.seed,
+        netlist, library, spec.device_yield, lo, hi, spec.seed,
         block=spec.block,
     )
     units = sorted(defects)
@@ -349,7 +354,8 @@ def run_yield_campaign(
         functional = working / instances
 
         netlist = context.campaign.netlist
-        area = area_report(netlist, context.library)
+        library = technology_library(technology)
+        area = area_report(netlist, library)
         devices = area.transistors + area.resistors
         point = evaluate_design(spec.config, technology)
         energy_per_cycle = point.power_at_fmax / point.fmax
@@ -383,7 +389,7 @@ def run_yield_campaign(
             seed=spec.seed,
             sigma=spec.sigma,
             device_yield=spec.device_yield,
-            nominal_fmax=1.0 / nominal_delay(netlist, context.library),
+            nominal_fmax=1.0 / nominal_delay(netlist, library),
             mean_delay=merged.mean,
             fmax_quantiles=fmax_quantiles,
             devices=devices,

@@ -44,6 +44,20 @@ Numpy ufuncs are value-deterministic across array shapes (and
 scalar path routes through numpy), so ``normal(s, i)`` equals
 ``normals(lo, hi)[s, i - lo]`` exactly -- asserted by
 ``tests/mc/test_sampling.py``.
+
+Blocked, in-place kernel
+------------------------
+
+``normals``, ``uniforms`` and ``bits`` fill their ``(streams, n)``
+result in row blocks of about :data:`_BLOCK` elements (one row when a
+row alone is longer).  Each block runs every step -- ``key + counter *
+GOLDEN``, the SplitMix64 rounds, the uniform conversion and, for
+normals, Box-Muller -- as ``out=`` ufuncs over two reusable ``uint64``
+scratch blocks and the block's own rows of the result (normals build
+the Box-Muller angle in the second scratch block, viewed as
+``float64``).  So the working set stays cache-sized and no pass
+allocates a matrix-sized temporary, while every element still gets the
+same IEEE-754 operations in the same order as the scalar path.
 """
 
 from __future__ import annotations
@@ -63,6 +77,20 @@ _FNV_PRIME = 0x100000001B3
 
 _TWO_PI = 6.283185307179586
 _U53 = 2.0**-53
+
+#: Elements per row block of the in-place kernel.  For 2048-unit draws
+#: over 364 and 1220 streams on a 2-vCPU Xeon, 2**15 was fastest and
+#: 2**14 or 2**16 within 6%; 2**13 (per-call dispatch) and 2**17 (out
+#: of cache) were up to 25% slower.
+_BLOCK = 1 << 15
+
+_SHIFT11 = np.uint64(11)
+_SHIFT27 = np.uint64(27)
+_SHIFT30 = np.uint64(30)
+_SHIFT31 = np.uint64(31)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_ONE = np.uint64(1)
 
 _KEY_CACHE_HITS = _obs_counter("mc.sampler.cache_hits")
 _KEY_CACHE_MISSES = _obs_counter("mc.sampler.cache_misses")
@@ -91,15 +119,41 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    x = x.copy()
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+def _mix64_into(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array, in place.
+
+    ``tmp`` is same-shape uint64 scratch; wrapping arithmetic, so the
+    words equal :func:`_mix64` element for element.
+    """
+    np.right_shift(x, _SHIFT30, out=tmp)
+    x ^= tmp
+    x *= _MUL1
+    np.right_shift(x, _SHIFT27, out=tmp)
+    x ^= tmp
+    x *= _MUL2
+    np.right_shift(x, _SHIFT31, out=tmp)
+    x ^= tmp
     return x
+
+
+def _uniform_into(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``((words >> 11) + 0.5) * 2**-53`` into float64 ``out``.
+
+    Clobbers ``words``.  The top 53 bits convert to float64 exactly, so
+    the add and the scaling are the scalar path's operations.
+    """
+    words >>= _SHIFT11
+    np.add(words, 0.5, out=out)
+    out *= _U53
+    return out
+
+
+def _counter_steps(lo: int, hi: int, stride: int) -> np.ndarray:
+    """``(stride * index) * GOLDEN`` for indices ``[lo, hi)``, wrapping."""
+    steps = np.arange(lo, hi, dtype=np.uint64)
+    steps *= np.uint64(stride)
+    steps *= np.uint64(_GOLDEN)
+    return steps
 
 
 def _base_key(seed: int, domain: str) -> int:
@@ -117,9 +171,9 @@ def stream_keys(seed: int, streams: int, domain: str) -> np.ndarray:
         _KEY_CACHE_HITS.inc()
         return keys
     _KEY_CACHE_MISSES.inc()
-    base = _base_key(seed, domain)
-    ids = np.arange(1, streams + 1, dtype=np.uint64)
-    keys = _mix64_array(np.uint64(base) + ids * np.uint64(_GOLDEN))
+    keys = _counter_steps(1, streams + 1, 1)
+    keys += np.uint64(_base_key(seed, domain))
+    _mix64_into(keys, np.empty_like(keys))
     keys.setflags(write=False)
     _KEY_CACHE[cache_key] = keys
     return keys
@@ -155,11 +209,27 @@ class SubstreamSampler:
 
     # -- word generation ---------------------------------------------------
 
-    def _words(self, counters: np.ndarray) -> np.ndarray:
-        """Words for a ``(count,)`` counter vector, all streams at once."""
-        return _mix64_array(
-            self.keys[:, None] + counters[None, :] * np.uint64(_GOLDEN)
-        )
+    def _blocks(self, n: int):
+        """Row blocks for a ``(streams, n)`` result, with word scratch.
+
+        Yields ``(rows, words, tmp)``: a row slice of at most
+        ``max(1, _BLOCK // n)`` streams and two uint64 scratch blocks
+        shaped ``(rows, n)``, reused from block to block.
+        """
+        height = max(1, _BLOCK // max(n, 1))
+        words = np.empty((min(height, self.streams), n), dtype=np.uint64)
+        tmp = np.empty_like(words)
+        for top in range(0, self.streams, height):
+            bottom = min(top + height, self.streams)
+            count = bottom - top
+            yield slice(top, bottom), words[:count], tmp[:count]
+
+    def _words_into(
+        self, words: np.ndarray, tmp: np.ndarray, rows: slice, steps: np.ndarray
+    ) -> np.ndarray:
+        """``mix64(key + steps)`` for the streams in ``rows``, in place."""
+        np.add(self.keys[rows, None], steps, out=words)
+        return _mix64_into(words, tmp)
 
     def _word(self, stream: int, counter: int) -> int:
         return _mix64(int(self.keys[stream]) + counter * _GOLDEN)
@@ -168,8 +238,11 @@ class SubstreamSampler:
 
     def uniforms(self, lo: int, hi: int) -> np.ndarray:
         """Uniform(0,1) matrix for unit indices ``[lo, hi)``."""
-        words = self._words(np.arange(lo, hi, dtype=np.uint64))
-        return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
+        steps = _counter_steps(lo, hi, 1)
+        out = np.empty((self.streams, steps.size), dtype=np.float64)
+        for rows, words, tmp in self._blocks(steps.size):
+            _uniform_into(self._words_into(words, tmp, rows, steps), out[rows])
+        return out
 
     def uniform(self, stream: int, index: int) -> float:
         """Scalar reference for ``uniforms(lo, hi)[stream, index - lo]``."""
@@ -178,8 +251,16 @@ class SubstreamSampler:
 
     def bits(self, lo: int, hi: int) -> np.ndarray:
         """Bit 0 of each unit's word (independent of its uniform)."""
-        words = self._words(np.arange(lo, hi, dtype=np.uint64))
-        return (words & np.uint64(1)).astype(np.uint8)
+        steps = _counter_steps(lo, hi, 1)
+        out = np.empty((self.streams, steps.size), dtype=np.uint8)
+        for rows, words, tmp in self._blocks(steps.size):
+            np.bitwise_and(
+                self._words_into(words, tmp, rows, steps),
+                _ONE,
+                out=out[rows],
+                casting="unsafe",
+            )
+        return out
 
     def bit(self, stream: int, index: int) -> int:
         """Scalar reference for ``bits(lo, hi)[stream, index - lo]``."""
@@ -190,14 +271,29 @@ class SubstreamSampler:
     def normals(self, lo: int, hi: int) -> np.ndarray:
         """Standard-normal matrix for unit indices ``[lo, hi)``.
 
-        Box-Muller over draw counters ``2*index`` and ``2*index + 1``.
+        Box-Muller over draw counters ``2*index`` and ``2*index + 1``:
+        the radius ``sqrt(-2 log u1)`` is built in the result rows, the
+        angle ``cos(2 pi u2)`` in the mixer's scratch block, which is
+        free once the second word is mixed.
         """
-        counters = np.arange(lo, hi, dtype=np.uint64) * np.uint64(2)
-        w1 = self._words(counters)
-        w2 = self._words(counters + np.uint64(1))
-        u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
-        u2 = ((w2 >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+        first = _counter_steps(lo, hi, 2)
+        second = first + np.uint64(_GOLDEN)
+        out = np.empty((self.streams, first.size), dtype=np.float64)
+        for rows, words, tmp in self._blocks(first.size):
+            radius = _uniform_into(
+                self._words_into(words, tmp, rows, first), out[rows]
+            )
+            np.log(radius, out=radius)
+            radius *= -2.0
+            np.sqrt(radius, out=radius)
+            angle = _uniform_into(
+                self._words_into(words, tmp, rows, second),
+                tmp.view(np.float64),
+            )
+            angle *= _TWO_PI
+            np.cos(angle, out=angle)
+            radius *= angle
+        return out
 
     def normal(self, stream: int, index: int) -> float:
         """Scalar reference for ``normals(lo, hi)[stream, index - lo]``.

@@ -41,9 +41,10 @@ from repro.mc.sampling import SubstreamSampler
 TIMING_DOMAIN = "timing"
 
 #: Units processed per arrival-matrix pass.  Bounds peak memory at
-#: roughly ``(rows + 3 * cells) * block * 8`` bytes (~50-100 MB for
-#: sweep cores) while keeping each ufunc call long enough to amortize
-#: dispatch.
+#: about ``(rows + cells + 3 * widest_level) * block * 8`` bytes -- the
+#: factor and arrival matrices plus one level's gathers; 15-52 MiB on
+#: p1_{4..32}_2 by tracemalloc -- while keeping each ufunc call long
+#: enough to amortize dispatch.
 DEFAULT_BLOCK = 2048
 
 _KERNEL_HITS = _obs_counter("mc.timing.cache_hits")
@@ -201,7 +202,9 @@ def sample_delays(
     out = np.empty(hi - lo, dtype=np.float64)
     for start in range(lo, hi, block):
         stop = min(start + block, hi)
-        factors = np.exp(sigma * sampler.normals(start, stop))
+        factors = sampler.normals(start, stop)
+        factors *= sigma
+        np.exp(factors, out=factors)
         out[start - lo : stop - lo] = _propagate(kernel, factors)
     return out
 

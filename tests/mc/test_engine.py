@@ -1,10 +1,12 @@
 """Fleet campaign engine: shard invariance, report sanity, CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.coregen.config import CoreConfig
+from repro.mc import engine
 from repro.mc.engine import YieldSpec, run_yield_campaign
 from repro.mc.sketch import QuantileSketch
 
@@ -84,6 +86,28 @@ def test_seed_changes_fleet(serial_report):
         jobs=1,
     )
     assert other.delay_sketch != serial_report.delay_sketch
+
+
+def test_context_memo_ignores_seed_and_technology(monkeypatch):
+    """The golden run depends on core and program, not on sampling."""
+    golden = engine.golden_signature
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return golden(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "golden_signature", counted)
+    monkeypatch.setattr(engine, "_WORKER_CONTEXT", None)
+    specs = (
+        replace(SPEC, seed=21, technology="EGFET"),
+        replace(SPEC, seed=22, technology="CNT"),
+    )
+    reports = [run_yield_campaign(spec, 300, jobs=1) for spec in specs]
+    assert len(calls) == 1
+    for spec, report in zip(specs, reports):
+        monkeypatch.setattr(engine, "_WORKER_CONTEXT", None)
+        assert _stable(run_yield_campaign(spec, 300, jobs=1)) == _stable(report)
 
 
 def test_rejects_empty_fleet():

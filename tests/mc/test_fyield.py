@@ -71,6 +71,19 @@ def test_sampling_is_shard_invariant(core):
     assert parts == whole
 
 
+def test_blocked_sampling_matches_one_unit_calls(core):
+    """2048 units cross the sampler's row blocks; one unit never does."""
+    netlist, library, _, _ = core
+    fleet = sample_defects(netlist, library, DEVICE_YIELD, 0, 2048, seed=6)
+    assert fleet
+    singles = {}
+    for unit in range(2048):
+        singles.update(
+            sample_defects(netlist, library, DEVICE_YIELD, unit, unit + 1, seed=6)
+        )
+    assert singles == fleet
+
+
 def test_single_defect_units_match_faulty_simulator(core):
     """Lane-packed == one FaultySimulator run per unit (property test)."""
     netlist, library, program, cycles = core

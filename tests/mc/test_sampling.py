@@ -1,16 +1,35 @@
 """Stream-split counter sampling: determinism, independence, parity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.mc.sampling import (
+    _BLOCK,
     _KEY_CACHE_HITS,
     _KEY_CACHE_MISSES,
     SubstreamSampler,
     clear_key_cache,
     stream_keys,
 )
+
+#: (streams, units) shapes that cross the kernel's row blocks: several
+#: rows per block with a partial last block, one row per block, and a
+#: single unit.
+BLOCK_SHAPES = ((40, 2048), (5, 40000), (7, 1))
+
+KINDS = ("uniform", "bit", "normal")
+
+
+def _block_edge_rows(streams: int, units: int) -> list[int]:
+    """First and last row of every row block the kernel fills."""
+    height = max(1, _BLOCK // units)
+    edges = set()
+    for top in range(0, streams, height):
+        edges.update((top, min(top + height, streams) - 1))
+    return sorted(edges)
 
 
 def test_scalar_matches_vectorized_uniforms():
@@ -37,12 +56,54 @@ def test_scalar_matches_vectorized_bits():
             assert sampler.bit(stream, index) == block[stream, index]
 
 
+@pytest.mark.parametrize("streams,units", BLOCK_SHAPES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_scalar_matches_vectorized_across_blocks(kind, streams, units):
+    sampler = SubstreamSampler(seed=31, streams=streams, domain="timing")
+    matrix = getattr(sampler, kind + "s")(0, units)
+    scalar = getattr(sampler, kind)
+    assert matrix.shape == (streams, units)
+    for stream in _block_edge_rows(streams, units):
+        for index in sorted({0, units // 2, units - 1}):
+            assert scalar(stream, index) == matrix[stream, index]
+
+
 def test_offset_independence():
     """Draw index, not call order, addresses a sample (shardability)."""
     sampler = SubstreamSampler(seed=5, streams=3, domain="timing")
     whole = sampler.normals(0, 100)
     for lo, hi in ((0, 10), (10, 64), (64, 100), (37, 41)):
         assert np.array_equal(sampler.normals(lo, hi), whole[:, lo:hi])
+
+
+@pytest.mark.parametrize("streams,units", BLOCK_SHAPES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_offset_independence_across_blocks(kind, streams, units):
+    """Sub-ranges split into other row blocks, yet match the whole."""
+    sampler = SubstreamSampler(seed=5, streams=streams, domain="timing")
+    draw = getattr(sampler, kind + "s")
+    whole = draw(0, units)
+    third = units // 3
+    for lo, hi in ((0, units), (0, third), (third, units), (third, third + 1)):
+        if lo < hi:
+            assert np.array_equal(draw(lo, hi), whole[:, lo:hi])
+
+
+def test_stream_is_pinned():
+    """The integer-derived draws themselves, not just scalar == vector.
+
+    A change made to both paths in lockstep (say another counter
+    layout) would pass every parity test while re-dicing every fleet.
+    Normals are not pinned: ``log`` and ``cos`` may differ in the last
+    place across numpy builds.
+    """
+    sampler = SubstreamSampler(seed=0xBEEF, streams=40, domain="defects")
+
+    def digest(matrix: np.ndarray) -> str:
+        return hashlib.sha256(matrix.tobytes()).hexdigest()[:16]
+
+    assert digest(sampler.uniforms(0, 2048)) == "c8512b4df523561e"
+    assert digest(sampler.bits(0, 2048)) == "e5330a71d37b6dc0"
 
 
 def test_same_seed_reproduces():

@@ -33,6 +33,17 @@ def test_vectorized_matches_scalar_reference(config, technology):
     assert np.array_equal(np.array(dist.samples), vec)
 
 
+def test_blocked_kernel_matches_one_block_calls():
+    """2048 units cross the sampler's row blocks; ``block=7`` does not."""
+    netlist = generate_core(CoreConfig(datawidth=8))
+    library = technology_library("EGFET")
+    fleet = sample_delays(netlist, library, 0.2, 0, 2048, seed=0xBEEF)
+    small = sample_delays(netlist, library, 0.2, 0, 2048, seed=0xBEEF, block=7)
+    assert np.array_equal(fleet, small)
+    dist = monte_carlo_timing(netlist, library, sigma=0.2, trials=12, seed=0xBEEF)
+    assert np.array_equal(fleet[:12], np.array(dist.samples))
+
+
 def test_sub_range_is_bit_exact():
     """Unit index addresses the sample: sharding cannot change it."""
     netlist = generate_core(CoreConfig(datawidth=4))
