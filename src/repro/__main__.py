@@ -62,11 +62,13 @@ history ledger under ``$REPRO_HISTORY_DIR`` (default
 
 from __future__ import annotations
 
+import importlib
 import sys
 import time
 from pathlib import Path
 
 from repro import obs
+from repro.cli import JOBS, Option, parse, usage_error
 from repro.eval import figures, tables
 from repro.eval.report import render_table
 from repro.units import to_cm2, to_mW
@@ -209,92 +211,48 @@ def run_stats_probe() -> None:
     evaluate_design(config, "EGFET")
 
 
-def _split_flags(argv: list[str]) -> tuple[dict, list[str], str | None]:
-    """Parse leading/interleaved options; returns (opts, targets, error)."""
-    opts = {
-        "profile": False,
-        "trace_out": None,
-        "report_out": DEFAULT_REPORT,
-        "jobs": None,
-    }
-    requests: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--profile":
-            opts["profile"] = True
-        elif arg == "--jobs":
-            if i + 1 >= len(argv):
-                return opts, requests, f"{arg} needs a count argument"
-            try:
-                opts["jobs"] = int(argv[i + 1])
-            except ValueError:
-                return opts, requests, f"--jobs needs an integer, got {argv[i + 1]!r}"
-            if opts["jobs"] < 1:
-                return opts, requests, "--jobs must be >= 1"
-            i += 1
-        elif arg in ("--trace-out", "--report-out"):
-            if i + 1 >= len(argv):
-                return opts, requests, f"{arg} needs a path argument"
-            key = "trace_out" if arg == "--trace-out" else "report_out"
-            opts[key] = argv[i + 1]
-            i += 1
-        elif arg.startswith("--"):
-            return opts, requests, f"unknown option {arg}"
-        else:
-            requests.append(arg)
-        i += 1
-    return opts, requests, None
+#: Subcommand -> ``module:function`` of its entry point, imported on use
+#: so a table run does not pay for the service or verifier imports.
+COMMANDS = {
+    "verify": "repro.verify.cli:verify_main",
+    "lint": "repro.verify.cli:lint_main",
+    "campaign": "repro.apps.campaign:campaign_main",
+    "yield": "repro.apps.yieldcli:yield_main",
+    "place": "repro.apps.place:place_main",
+    "profile-design": "repro.apps.profile:profile_main",
+    "history": "repro.apps.history:history_main",
+    "dashboard": "repro.apps.history:dashboard_main",
+    "serve": "repro.serve.cli:serve_main",
+}
+
+OPTIONS = (
+    Option("--profile", None, False,
+           "trace the run; write a run report and print its summary"),
+    JOBS,
+    Option("--trace-out", str, None,
+           "also export the trace (.json array, else JSONL)"),
+    Option("--report-out", str, DEFAULT_REPORT, "run report path"),
+    Option("targets", str, ["list"],
+           "list | all | export [DIR] | stats | "
+           + " | ".join(TARGETS) + " | COMMAND ... (" + ", ".join(COMMANDS)
+           + "; each takes --help)", many=True),
+)
 
 
 def main(argv: list[str]) -> int:
-    # The verify/lint/profile-design subcommands own their argument
-    # grammar (seeds, config lists, fault specs, probe selections), so
-    # they dispatch before the table option parser gets a chance to
-    # reject their flags.
-    if argv and argv[0] in ("verify", "lint"):
-        from repro.verify.cli import main as verify_lint_main
+    if argv and argv[0] in COMMANDS:
+        module, _, function = COMMANDS[argv[0]].partition(":")
+        return getattr(importlib.import_module(module), function)(argv[1:])
 
-        return verify_lint_main(argv)
-    if argv and argv[0] == "profile-design":
-        from repro.apps.profile import profile_main
-
-        return profile_main(argv[1:])
-    if argv and argv[0] == "campaign":
-        from repro.apps.campaign import campaign_main
-
-        return campaign_main(argv[1:])
-    if argv and argv[0] == "yield":
-        from repro.apps.yieldcli import yield_main
-
-        return yield_main(argv[1:])
-    if argv and argv[0] == "place":
-        from repro.apps.place import place_main
-
-        return place_main(argv[1:])
-    if argv and argv[0] == "history":
-        from repro.apps.history import history_main
-
-        return history_main(argv[1:])
-    if argv and argv[0] == "dashboard":
-        from repro.apps.history import dashboard_main
-
-        return dashboard_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.serve.cli import serve_main
-
-        return serve_main(argv[1:])
-
-    opts, requests, error = _split_flags(argv)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    profile = opts["profile"] or obs.enabled()
-    if opts["jobs"] is not None:
+    args = parse("", OPTIONS, argv, __doc__)
+    if isinstance(args, int):
+        return args
+    profile = args.profile or obs.enabled()
+    if args.jobs is not None:
         from repro.exec import set_default_jobs
 
-        set_default_jobs(opts["jobs"])
-    requests = requests or ["list"]
+        set_default_jobs(args.jobs)
+    requests = args.targets
     if requests == ["list"]:
         print("regenerable results:", " ".join(TARGETS), "all export stats")
         return 0
@@ -308,7 +266,7 @@ def main(argv: list[str]) -> int:
         with obs.span("export", directory=directory):
             written = export_artifacts(directory)
         print(f"wrote {len(written)} artifacts under {directory}/")
-        return _finish(["export", directory], start, opts, profile)
+        return _finish(["export", directory], start, args, profile)
     if requests[0] == "stats":
         # Metrics are in-process, so the stats subcommand generates its
         # own activity: enable collection, run the probe, print.
@@ -316,35 +274,36 @@ def main(argv: list[str]) -> int:
         with obs.span("stats_probe"):
             run_stats_probe()
         print(obs.render_metrics(obs.snapshot()))
-        return _finish(["stats"], start, opts, profile)
+        return _finish(["stats"], start, args, profile)
 
     if requests == ["all"]:
         requests = list(TARGETS)
     unknown = [r for r in requests if r not in TARGETS]
     if unknown:
-        print(f"unknown target(s): {' '.join(unknown)}", file=sys.stderr)
-        print("regenerable results:", " ".join(TARGETS), "all", file=sys.stderr)
-        return 2
+        return usage_error("", OPTIONS, (
+            f"unknown target(s): {' '.join(unknown)} (regenerable results: "
+            f"{' '.join(TARGETS)} all export stats)"
+        ))
     for request in requests:
         with obs.span(request):
             TARGETS[request]()
-    return _finish(requests, start, opts, profile)
+    return _finish(requests, start, args, profile)
 
 
-def _finish(command: list[str], start: float, opts: dict, profile: bool) -> int:
+def _finish(command: list[str], start: float, args, profile: bool) -> int:
     """Emit the run report / trace export for profiled invocations."""
     if not profile:
         return 0
     wall = time.perf_counter() - start
     report = obs.build_run_report(command, wall)
-    path = obs.write_run_report(opts["report_out"], report)
+    path = obs.write_run_report(args.report_out, report)
     print(obs.render_run_report(report))
     print(f"run report -> {path}")
-    if opts["trace_out"]:
+    if args.trace_out:
         # Suffix picks the format: .json = ready-to-load JSON array,
         # anything else = streaming JSONL (see obs.export_trace).
-        count = obs.export_trace(opts["trace_out"])
-        print(f"trace ({count} spans) -> {opts['trace_out']}")
+        count = obs.export_trace(args.trace_out)
+        print(f"trace ({count} spans) -> {args.trace_out}")
     return 0
 
 

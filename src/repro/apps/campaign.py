@@ -20,94 +20,70 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import replace
 
-#: Backends accepted by --backend (campaign mode).
-CAMPAIGN_BACKENDS = ("numpy", "batched", "compiled", "interpreted")
+from repro import cli
+from repro.errors import ReproError
 
-#: Lane backends accepted by --backend in --verify-suite mode.
-LANE_ONLY = ("numpy", "batched")
+#: Backends --verify-suite accepts: the lane-packed ones.
+LANE_BACKENDS = ("numpy", "batched")
+
+CAMPAIGN_OPTIONS = (
+    cli.PROGRAM,
+    cli.WIDTH,
+    replace(cli.CONFIG, default=None,
+            help="core pP_D_B (None: one-stage core of --width bits)"),
+    cli.Option("--backend", str, "numpy", "simulation backend",
+               choices=(*LANE_BACKENDS, "compiled", "interpreted")),
+    cli.Option("--stride", cli.positive_int, 8, "inject every N-th fault"),
+    cli.Option("--max-faults", cli.positive_int, None, "fault cap"),
+    cli.Option("--lanes", cli.positive_int, None,
+               "faults per lane pass (None: backend default)"),
+    cli.JOBS,
+    cli.Option("--verify-suite", None, False,
+               "diff every native benchmark on a lane backend vs the ISS"),
+)
 
 
-def _usage() -> str:
-    return (
-        "usage: python -m repro campaign [--program NAME] [--width N]\n"
-        "           [--config NAME] [--backend numpy|batched|compiled|interpreted]\n"
-        "           [--stride N] [--max-faults N] [--lanes N] [--jobs N]\n"
-        "       python -m repro campaign --verify-suite [--backend numpy|batched]"
+def campaign_target(program_name: str, width: int, config_name: str | None):
+    """The program and core one campaign runs: ``(program, config, design)``.
+
+    Without a configuration, ``config`` is ``None`` and the design is
+    the single-stage core :func:`run_fault_campaign` builds for the
+    kernel.  Shared by the CLI and the ``campaign`` serve kind.
+    """
+    from repro.coregen.config import CoreConfig, config_from_name
+    from repro.programs import build_benchmark
+
+    config = config_from_name(config_name) if config_name else None
+    program = build_benchmark(
+        program_name, width, config.datawidth if config else width
     )
+    design = config.name if config else CoreConfig(
+        datawidth=program.datawidth,
+        pipeline_stages=1,
+        num_bars=max(2, program.num_bars),
+    ).name
+    return program, config, design
 
 
 def campaign_main(argv: list[str]) -> int:
     """Entry point for the ``campaign`` subcommand."""
-    program_name = "mult"
-    width = 8
-    config_name: str | None = None
-    backend = "numpy"
-    stride = 8
-    max_faults: int | None = None
-    lanes: int | None = None
-    jobs: int | None = None
-    verify_suite_mode = False
+    args = cli.parse("campaign", CAMPAIGN_OPTIONS, argv, __doc__)
+    if isinstance(args, int):
+        return args
+    backend = args.backend
 
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-
-        def value(cast=str):
-            if i + 1 >= len(argv):
-                raise ValueError(f"{arg} needs an argument")
-            return cast(argv[i + 1])
-
-        try:
-            if arg == "--program":
-                program_name = value()
-                i += 1
-            elif arg == "--width":
-                width = value(int)
-                i += 1
-            elif arg == "--config":
-                config_name = value()
-                i += 1
-            elif arg == "--backend":
-                backend = value()
-                i += 1
-            elif arg == "--stride":
-                stride = value(int)
-                i += 1
-            elif arg == "--max-faults":
-                max_faults = value(int)
-                i += 1
-            elif arg == "--lanes":
-                lanes = value(int)
-                i += 1
-            elif arg == "--jobs":
-                jobs = value(int)
-                i += 1
-            elif arg == "--verify-suite":
-                verify_suite_mode = True
-            elif arg in ("-h", "--help"):
-                print(_usage())
-                return 0
-            else:
-                print(f"unknown option {arg}", file=sys.stderr)
-                print(_usage(), file=sys.stderr)
-                return 2
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        i += 1
-
-    if verify_suite_mode:
+    if args.verify_suite:
         from repro.eval.suite import verify_suite
         from repro.errors import SimulationError
 
-        if backend not in LANE_ONLY:
-            print(
-                f"--verify-suite needs a lane backend ({'|'.join(LANE_ONLY)}), "
-                f"got {backend!r}",
-                file=sys.stderr,
+        if backend not in LANE_BACKENDS:
+            return cli.usage_error(
+                "campaign", CAMPAIGN_OPTIONS,
+                f"--verify-suite needs a lane backend "
+                f"({' | '.join(LANE_BACKENDS)}), got {backend!r}",
             )
-            return 2
         started = time.perf_counter()
         try:
             verified = verify_suite(backend)
@@ -124,36 +100,26 @@ def campaign_main(argv: list[str]) -> int:
         )
         return 0
 
-    if backend not in CAMPAIGN_BACKENDS:
-        print(
-            f"unknown backend {backend!r} "
-            f"(choose from {'|'.join(CAMPAIGN_BACKENDS)})",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.coregen.config import CoreConfig, config_from_name
     from repro.coregen.fault_test import run_fault_campaign
-    from repro.programs import build_benchmark
 
-    config = config_from_name(config_name) if config_name else None
-    core_width = config.datawidth if config else width
-    program = build_benchmark(program_name, width, core_width)
-    started = time.perf_counter()
-    result = run_fault_campaign(
-        program,
-        config=config,
-        stride=stride,
-        max_faults=max_faults,
-        backend=backend,
-        lanes=lanes,
-        jobs=jobs,
-    )
+    try:
+        program, config, design = campaign_target(
+            args.program, args.width, args.config
+        )
+        started = time.perf_counter()
+        result = run_fault_campaign(
+            program,
+            config=config,
+            stride=args.stride,
+            max_faults=args.max_faults,
+            backend=backend,
+            lanes=args.lanes,
+            jobs=args.jobs,
+        )
+    except ReproError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - started
-    design = config.name if config else CoreConfig(
-        datawidth=program.datawidth,
-        pipeline_stages=1,
-        num_bars=max(2, program.num_bars),
-    ).name
     rate = result.total / elapsed if elapsed > 0 else float("inf")
     print(
         f"campaign[{program.name} @ {design}, {backend}]: "

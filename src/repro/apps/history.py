@@ -22,98 +22,78 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
+from repro import cli
+from repro.obs import history
 
-def _usage_history() -> str:
-    return (
-        "usage: python -m repro history show [--ledger PATH] [--limit N]\n"
-        "       python -m repro history check [--ledger PATH] [--kind K]\n"
-        "           [--command 'CMD ...'] [--window N] [--min-baseline N]\n"
-        "           [--mad-k F] [--rel-floor F]\n"
-        "       python -m repro history append --report PATH [--ledger PATH]"
-    )
+LEDGER = cli.Option("--ledger", str, None,
+                    "ledger file (None: the $REPRO_HISTORY_DIR ledger)")
 
+HISTORY_OPTIONS = {
+    "show": (
+        LEDGER,
+        cli.Option("--limit", cli.positive_int, 20, "records shown"),
+    ),
+    "check": (
+        LEDGER,
+        cli.Option("--kind", str, None, "only records of this kind"),
+        cli.Option("--command", str.split, None,
+                   "only records of this command ('CMD ARG ...')"),
+        cli.Option("--window", cli.positive_int, history.DEFAULT_WINDOW,
+                   "baseline records"),
+        cli.Option("--min-baseline", cli.positive_int, history.MIN_BASELINE,
+                   "baseline samples a series needs to be gated"),
+        cli.Option("--mad-k", cli.number(float, above=0), history.MAD_K,
+                   "tolerance in robust standard deviations"),
+        cli.Option("--rel-floor", cli.number(float, low=0), history.REL_FLOOR,
+                   "tolerance floor relative to the median"),
+    ),
+    "append": (
+        replace(cli.REPORT, help="report JSON to append (required)"),
+        LEDGER,
+    ),
+}
 
-def _usage_dashboard() -> str:
-    return (
-        "usage: python -m repro dashboard [--out PATH] [--ledger PATH] "
-        "[--title TEXT]"
-    )
+DASHBOARD_OPTIONS = (
+    cli.Option("--out", str, "dashboard.html", "HTML output path"),
+    LEDGER,
+    cli.Option("--title", str, "repro telemetry", "page title"),
+)
 
 
 def history_main(argv: list[str]) -> int:
     """Entry point for the ``history`` subcommand."""
-    from repro.obs import history
+    args = cli.parse("history", HISTORY_OPTIONS, argv, __doc__)
+    if isinstance(args, int):
+        return args
+    ledger = args.ledger
+    where = ledger or history.ledger_path()
 
-    if not argv or argv[0] in ("-h", "--help"):
-        print(_usage_history())
-        return 0 if argv else 2
-    verb, rest = argv[0], argv[1:]
-    if verb not in ("show", "check", "append"):
-        print(f"unknown history verb {verb!r}", file=sys.stderr)
-        print(_usage_history(), file=sys.stderr)
-        return 2
-
-    opts = {
-        "--ledger": str,
-        "--limit": int,
-        "--kind": str,
-        "--command": str,
-        "--report": str,
-        "--window": int,
-        "--min-baseline": int,
-        "--mad-k": float,
-        "--rel-floor": float,
-    }
-    values: dict = {}
-
-    i = 0
-    while i < len(rest):
-        arg = rest[i]
-        if arg in ("-h", "--help"):
-            print(_usage_history())
-            return 0
-        if arg not in opts:
-            print(f"unknown option {arg}", file=sys.stderr)
-            print(_usage_history(), file=sys.stderr)
-            return 2
-        if i + 1 >= len(rest):
-            print(f"{arg} needs an argument", file=sys.stderr)
-            return 2
-        try:
-            values[arg] = opts[arg](rest[i + 1])
-        except ValueError:
-            print(f"{arg}: bad value {rest[i + 1]!r}", file=sys.stderr)
-            return 2
-        i += 2
-
-    ledger = values.get("--ledger")
-
-    if verb == "show":
+    if args.verb == "show":
         records = history.read_ledger(ledger)
-        limit = values.get("--limit", 20)
         if not records:
-            print(f"ledger {ledger or history.ledger_path()} is empty")
+            print(f"ledger {where} is empty")
             return 0
-        for record in records[-limit:]:
+        for record in records[-args.limit:]:
             print(
                 f"{record.get('id', '?'):>16}  {record.get('ts', '?'):<25} "
                 f"{record.get('kind', '?'):<10} "
                 f"{' '.join(record.get('command', []))} "
                 f"({len(record.get('series', {}))} series)"
             )
-        print(f"{len(records)} records in {ledger or history.ledger_path()}")
+        print(f"{len(records)} records in {where}")
         return 0
 
-    if verb == "append":
-        report_path = values.get("--report")
-        if not report_path:
-            print("history append needs --report PATH", file=sys.stderr)
-            return 2
+    if args.verb == "append":
+        if not args.report:
+            return cli.usage_error(
+                "history", HISTORY_OPTIONS, "history append needs --report PATH"
+            )
         try:
-            report = json.loads(open(report_path).read())
+            report = json.loads(open(args.report).read())
         except (OSError, ValueError) as exc:
-            print(f"cannot read report {report_path}: {exc}", file=sys.stderr)
+            print(f"cannot read report {args.report}: {exc}", file=sys.stderr)
             return 1
         record = history.record_from_report(report)
         record_id = history.append_record(record, path=ledger)
@@ -122,30 +102,23 @@ def history_main(argv: list[str]) -> int:
             return 0
         print(
             f"appended {record_id} ({len(record['series'])} series) "
-            f"-> {ledger or history.ledger_path()}"
+            f"-> {where}"
         )
         return 0
 
-    # verb == "check"
-    command = values["--command"].split() if "--command" in values else None
-    kwargs = {}
-    if "--min-baseline" in values:
-        kwargs["min_baseline"] = values["--min-baseline"]
-    if "--mad-k" in values:
-        kwargs["mad_k"] = values["--mad-k"]
-    if "--rel-floor" in values:
-        kwargs["rel_floor"] = values["--rel-floor"]
     result = history.check_latest(
         path=ledger,
-        kind=values.get("--kind"),
-        command=command,
-        window=values.get("--window", history.DEFAULT_WINDOW),
-        **kwargs,
+        kind=args.kind,
+        command=args.command,
+        window=args.window,
+        min_baseline=args.min_baseline,
+        mad_k=args.mad_k,
+        rel_floor=args.rel_floor,
     )
     if result is None:
         print(
-            "history check: no matching records in "
-            f"{ledger or history.ledger_path()} (informational pass)"
+            f"history check: no matching records in {where} "
+            "(informational pass)"
         )
         return 0
     print(result.render())
@@ -154,37 +127,14 @@ def history_main(argv: list[str]) -> int:
 
 def dashboard_main(argv: list[str]) -> int:
     """Entry point for the ``dashboard`` subcommand."""
-    from repro.obs import history
-    from repro.obs.dashboard import render_dashboard
-
-    out = "dashboard.html"
-    ledger = None
-    title = "repro telemetry"
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in ("-h", "--help"):
-            print(_usage_dashboard())
-            return 0
-        if arg in ("--out", "--ledger", "--title"):
-            if i + 1 >= len(argv):
-                print(f"{arg} needs an argument", file=sys.stderr)
-                return 2
-            value = argv[i + 1]
-            if arg == "--out":
-                out = value
-            elif arg == "--ledger":
-                ledger = value
-            else:
-                title = value
-            i += 2
-            continue
-        print(f"unknown option {arg}", file=sys.stderr)
-        print(_usage_dashboard(), file=sys.stderr)
-        return 2
-    records = history.read_ledger(ledger)
     from pathlib import Path
 
-    Path(out).write_text(render_dashboard(records, title=title))
-    print(f"dashboard ({len(records)} records) -> {out}")
+    from repro.obs.dashboard import render_dashboard
+
+    args = cli.parse("dashboard", DASHBOARD_OPTIONS, argv, __doc__)
+    if isinstance(args, int):
+        return args
+    records = history.read_ledger(args.ledger)
+    Path(args.out).write_text(render_dashboard(records, title=args.title))
+    print(f"dashboard ({len(records)} records) -> {args.out}")
     return 0

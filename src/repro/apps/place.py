@@ -25,14 +25,22 @@ import sys
 import time
 from functools import partial
 
+from repro import cli
+from repro.place.fabric import NAMED_FABRICS
+from repro.place.placer import DEFAULT_SWEEPS
 
-def _usage() -> str:
-    return (
-        "usage: python -m repro place CONFIG [CONFIG...]\n"
-        "           [--fabric small|medium|large|auto] [--technology EGFET|CNT]\n"
-        "           [--seed S] [--sweeps N] [--jobs N] [--out DIR]\n"
-        "           [--report PATH]"
-    )
+PLACE_OPTIONS = (
+    cli.CONFIGS,
+    cli.Option("--fabric", str, "medium", "fabric (auto: smallest that fits)",
+               choices=(*NAMED_FABRICS, "auto")),
+    cli.TECHNOLOGY,
+    cli.SEED,
+    cli.Option("--sweeps", cli.number(int, low=0), DEFAULT_SWEEPS,
+               "annealing sweeps"),
+    cli.JOBS,
+    cli.Option("--out", str, ".", "directory for layout*.html"),
+    cli.REPORT,
+)
 
 
 def _place_one(
@@ -98,64 +106,10 @@ def _place_one(
 
 def place_main(argv: list[str]) -> int:
     """Entry point for the ``place`` subcommand."""
-    configs: list[str] = []
-    fabric = "medium"
-    technology = "EGFET"
-    seed = 0
-    sweeps: int | None = None
-    jobs: int | None = None
-    out_dir = "."
-    report_path: str | None = None
-
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-
-        def value(cast=str):
-            if i + 1 >= len(argv):
-                raise ValueError(f"{arg} needs an argument")
-            return cast(argv[i + 1])
-
-        try:
-            if arg == "--fabric":
-                fabric = value()
-                i += 1
-            elif arg == "--technology":
-                technology = value()
-                i += 1
-            elif arg == "--seed":
-                seed = value(lambda s: int(s, 0))
-                i += 1
-            elif arg == "--sweeps":
-                sweeps = value(int)
-                i += 1
-            elif arg == "--jobs":
-                jobs = value(int)
-                i += 1
-            elif arg == "--out":
-                out_dir = value()
-                i += 1
-            elif arg == "--report":
-                report_path = value()
-                i += 1
-            elif arg in ("-h", "--help"):
-                print(_usage())
-                return 0
-            elif arg.startswith("-"):
-                print(f"unknown option {arg}", file=sys.stderr)
-                print(_usage(), file=sys.stderr)
-                return 2
-            else:
-                configs.append(arg)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        i += 1
-
-    if not configs:
-        print("need at least one core configuration", file=sys.stderr)
-        print(_usage(), file=sys.stderr)
-        return 2
+    args = cli.parse("place", PLACE_OPTIONS, argv, __doc__)
+    if isinstance(args, int):
+        return args
+    configs = args.configs
 
     from pathlib import Path
 
@@ -165,12 +119,12 @@ def place_main(argv: list[str]) -> int:
     from repro.obs import history
 
     started = time.perf_counter()
-    sweeps_value = sweeps if sweeps is not None else 10
     try:
         results = parallel_map(
-            partial(_place_one, fabric, technology, seed, sweeps_value),
+            partial(_place_one, args.fabric, args.technology, args.seed,
+                    args.sweeps),
             configs,
-            jobs=jobs,
+            jobs=args.jobs,
             label="place",
         )
     except ReproError as exc:
@@ -204,7 +158,7 @@ def place_main(argv: list[str]) -> int:
             f"(+{ppa['energy_overhead_pct']:.2f}%)"
         )
         suffix = "" if len(configs) == 1 else f"_{result['design']}"
-        layout = Path(out_dir) / f"layout{suffix}.html"
+        layout = Path(args.out) / f"layout{suffix}.html"
         layout.parent.mkdir(parents=True, exist_ok=True)
         layout.write_text(result.pop("layout_html"), encoding="utf-8")
         print(f"  layout: {layout}")
@@ -226,13 +180,13 @@ def place_main(argv: list[str]) -> int:
             )
         )
 
-    if report_path:
+    if args.report:
         wall = time.perf_counter() - started
         run_report = obs.build_run_report(
             ["place"] + list(argv),
             wall,
             extra={"placements": placements},
         )
-        obs.write_run_report(report_path, run_report)
-        print(f"report: {report_path}")
+        obs.write_run_report(args.report, run_report)
+        print(f"report: {args.report}")
     return 1 if failed else 0

@@ -33,12 +33,16 @@ profiles into ``RUN_REPORT.json`` under the v2 schema's
 from __future__ import annotations
 
 import json
+import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+from repro import cli
 from repro.coregen.config import CoreConfig, config_from_name
 from repro.coregen.cosim import CoSimHarness
 from repro.errors import ConfigError, ProgramError, SimulationError
+from repro.netlist.sim import BACKENDS
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.trace import span as _obs_span
 
@@ -50,6 +54,36 @@ PROFILE_SCHEMA = "repro.apps.design_profile/v1"
 #: Probe groups recorded into the VCD by default: the architectural
 #: state plus the memory/instruction bus.
 DEFAULT_PROBE_GROUPS = ("pc", "flags", "bars", "bus")
+
+
+
+def _regex(text: str) -> str:
+    try:
+        re.compile(text)
+    except re.error as error:
+        raise ValueError(f"bad regular expression {text!r}: {error}") from None
+    return text
+
+
+PROFILE_OPTIONS = (
+    replace(cli.CONFIGS, default=[cli.CONFIG.default]),
+    replace(cli.PROGRAM, default="crc8"),
+    cli.TECHNOLOGY,
+    cli.Option("--backend", str, "compiled", "gate-level simulator",
+               choices=BACKENDS),
+    cli.Option("--vcd", str, None, "write a waveform of the probed nets"),
+    cli.Option("--energy-report", str, None, "write the profile JSON here"),
+    cli.Option("--top", cli.positive_int, 10, "hottest instructions shown"),
+    cli.JOBS,
+    cli.Option("--max-cycles", cli.positive_int, 200_000, "cycle bound"),
+    cli.Option("--trace-maxlen", cli.positive_int, None,
+               "keep the last N fetches (None: all)"),
+    cli.Option("--probe", cli.comma_list(), None,
+               "extra nets to probe, comma-separated; repeatable", many=True),
+    cli.Option("--probe-regex", _regex, None, "also probe buses matching"),
+    cli.Option("--profile", None, False, "fold profiles into a run report"),
+    cli.Option("--report-out", str, "RUN_REPORT.json", "run report path"),
+)
 
 
 def _benchmark_for(name: str, config: CoreConfig):
@@ -346,90 +380,24 @@ def _suffixed(path: str, name: str, multiple: bool) -> str:
     return str(p.with_name(f"{p.stem}.{name}{p.suffix}"))
 
 
-def _usage_error(message: str) -> int:
-    print(message, file=sys.stderr)
-    print(__doc__, file=sys.stderr)
-    return 2
-
-
 def profile_main(argv: list[str]) -> int:
     """Entry point for ``python -m repro profile-design ...``."""
     import time
 
     from repro import obs
 
-    program = "crc8"
-    technology = "EGFET"
-    backend = "compiled"
-    names: list[str] = []
-    vcd = None
-    energy_report = None
-    top = 10
-    jobs = None
-    max_cycles = 200_000
-    trace_maxlen = None
-    probe_names: list[str] = []
-    probe_regex = None
-    profile_flag = False
-    report_out = "RUN_REPORT.json"
+    args = cli.parse("profile-design", PROFILE_OPTIONS, argv, __doc__)
+    if isinstance(args, int):
+        return args
+    configs = [config_from_name(name) for name in args.configs]
 
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-
-        def value() -> str:
-            nonlocal i
-            i += 1
-            if i >= len(argv):
-                raise ValueError(f"{arg} needs an argument")
-            return argv[i]
-
-        try:
-            if arg == "--program":
-                program = value()
-            elif arg == "--technology":
-                technology = value()
-            elif arg == "--backend":
-                backend = value()
-            elif arg == "--vcd":
-                vcd = value()
-            elif arg == "--energy-report":
-                energy_report = value()
-            elif arg == "--top":
-                top = int(value())
-            elif arg == "--jobs":
-                jobs = int(value())
-            elif arg == "--max-cycles":
-                max_cycles = int(value())
-            elif arg == "--trace-maxlen":
-                trace_maxlen = int(value())
-            elif arg == "--probe":
-                probe_names.extend(n for n in value().split(",") if n)
-            elif arg == "--probe-regex":
-                probe_regex = value()
-            elif arg == "--profile":
-                profile_flag = True
-            elif arg == "--report-out":
-                report_out = value()
-            elif arg.startswith("-"):
-                return _usage_error(f"unknown profile-design option {arg!r}")
-            else:
-                names.append(arg)
-        except ValueError as error:
-            return _usage_error(str(error))
-        i += 1
-
-    try:
-        configs = [config_from_name(n) for n in (names or ["p1_8_2"])]
-    except ConfigError as error:
-        return _usage_error(str(error))
-
-    profiled = profile_flag or obs.enabled()
+    profiled = args.profile or obs.enabled()
     if profiled:
         obs.enable()
     start = time.perf_counter()
 
     multiple = len(configs) > 1
+    vcd = args.vcd
     overrides = [
         {
             "vcd_path": _suffixed(vcd, c.name, multiple) if vcd else None,
@@ -439,16 +407,16 @@ def profile_main(argv: list[str]) -> int:
     try:
         profiles = profile_designs(
             configs,
-            jobs=jobs,
+            jobs=args.jobs,
             per_config_options=overrides,
-            program_name=program,
-            technology=technology,
-            backend=backend,
-            max_cycles=max_cycles,
-            top=top,
-            trace_maxlen=trace_maxlen,
-            probe_names=tuple(probe_names),
-            probe_regex=probe_regex,
+            program_name=args.program,
+            technology=args.technology,
+            backend=args.backend,
+            max_cycles=args.max_cycles,
+            top=args.top,
+            trace_maxlen=args.trace_maxlen,
+            probe_names=tuple(args.probe or ()),
+            probe_regex=args.probe_regex,
         )
     except (ConfigError, ProgramError, SimulationError) as error:
         print(f"profile-design: {error}", file=sys.stderr)
@@ -456,8 +424,8 @@ def profile_main(argv: list[str]) -> int:
 
     for config, profile in zip(configs, profiles):
         print(render_profile(profile))
-        if energy_report:
-            path = Path(_suffixed(energy_report, config.name, multiple))
+        if args.energy_report:
+            path = Path(_suffixed(args.energy_report, config.name, multiple))
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(json.dumps(profile, indent=2) + "\n")
             print(f"energy report -> {path}")
@@ -465,8 +433,8 @@ def profile_main(argv: list[str]) -> int:
     if profiled:
         wall = time.perf_counter() - start
         report = obs.build_run_report(
-            ["profile-design", *(names or ["p1_8_2"])], wall, profiles=profiles
+            ["profile-design", *args.configs], wall, profiles=profiles
         )
-        path = obs.write_run_report(report_out, report)
+        path = obs.write_run_report(args.report_out, report)
         print(f"run report -> {path}")
     return 0

@@ -18,102 +18,38 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import replace
 
+from repro import cli
 
-def _usage() -> str:
-    return (
-        "usage: python -m repro yield CONFIG [CONFIG...]\n"
-        "           [--instances N] [--jobs N] [--seed S] [--sigma X]\n"
-        "           [--device-yield Y] [--technology EGFET|CNT]\n"
-        "           [--program NAME] [--width N] [--lanes N] [--block N]\n"
-        "           [--duty F] [--battery NAME] [--report PATH]"
-    )
+YIELD_OPTIONS = (
+    cli.CONFIGS,
+    cli.Option("--instances", cli.positive_int, 10_000, "units per design"),
+    cli.JOBS,
+    replace(cli.SEED, default=0xBEEF),
+    cli.Option("--sigma", cli.number(float, low=0), 0.2,
+               "lognormal sigma of per-cell delay"),
+    cli.Option("--device-yield", cli.number(float, above=0, high=1), 0.9999,
+               "probability that one printed device works"),
+    cli.TECHNOLOGY,
+    cli.PROGRAM,
+    cli.WIDTH,
+    cli.Option("--lanes", cli.positive_int, None,
+               "units per functional pass (None: engine default)"),
+    cli.Option("--block", cli.positive_int, None,
+               "units per timing block (None: engine default)"),
+    cli.Option("--duty", cli.number(float, above=0, high=1), 0.01,
+               "duty cycle for lifetime"),
+    cli.Option("--battery", str, "Molex", "battery for lifetime"),
+    cli.REPORT,
+)
 
 
 def yield_main(argv: list[str]) -> int:
     """Entry point for the ``yield`` subcommand."""
-    configs: list[str] = []
-    instances = 10_000
-    jobs: int | None = None
-    seed = 0xBEEF
-    sigma = 0.2
-    device_yield = 0.9999
-    technology = "EGFET"
-    program_name = "mult"
-    width: int | None = None
-    lanes: int | None = None
-    block: int | None = None
-    duty = 0.01
-    battery = "Molex"
-    report_path: str | None = None
-
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-
-        def value(cast=str):
-            if i + 1 >= len(argv):
-                raise ValueError(f"{arg} needs an argument")
-            return cast(argv[i + 1])
-
-        try:
-            if arg == "--instances":
-                instances = value(int)
-                i += 1
-            elif arg == "--jobs":
-                jobs = value(int)
-                i += 1
-            elif arg == "--seed":
-                seed = value(lambda s: int(s, 0))
-                i += 1
-            elif arg == "--sigma":
-                sigma = value(float)
-                i += 1
-            elif arg == "--device-yield":
-                device_yield = value(float)
-                i += 1
-            elif arg == "--technology":
-                technology = value()
-                i += 1
-            elif arg == "--program":
-                program_name = value()
-                i += 1
-            elif arg == "--width":
-                width = value(int)
-                i += 1
-            elif arg == "--lanes":
-                lanes = value(int)
-                i += 1
-            elif arg == "--block":
-                block = value(int)
-                i += 1
-            elif arg == "--duty":
-                duty = value(float)
-                i += 1
-            elif arg == "--battery":
-                battery = value()
-                i += 1
-            elif arg == "--report":
-                report_path = value()
-                i += 1
-            elif arg in ("-h", "--help"):
-                print(_usage())
-                return 0
-            elif arg.startswith("-"):
-                print(f"unknown option {arg}", file=sys.stderr)
-                print(_usage(), file=sys.stderr)
-                return 2
-            else:
-                configs.append(arg)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        i += 1
-
-    if not configs:
-        print("need at least one core configuration", file=sys.stderr)
-        print(_usage(), file=sys.stderr)
-        return 2
+    args = cli.parse("yield", YIELD_OPTIONS, argv, __doc__)
+    if isinstance(args, int):
+        return args
 
     from repro import obs
     from repro.coregen.config import config_from_name
@@ -125,22 +61,21 @@ def yield_main(argv: list[str]) -> int:
     started = time.perf_counter()
     campaigns: dict[str, dict] = {}
     try:
-        for name in configs:
-            config = config_from_name(name)
+        for name in args.configs:
             spec = YieldSpec(
-                config=config,
-                technology=technology,
-                program_name=program_name,
-                program_width=width if width is not None else 8,
-                sigma=sigma,
-                device_yield=device_yield,
-                seed=seed,
-                lanes=lanes if lanes is not None else DEFAULT_LANES,
-                block=block if block is not None else DEFAULT_BLOCK,
-                duty=duty,
-                battery_name=battery,
+                config=config_from_name(name),
+                technology=args.technology,
+                program_name=args.program,
+                program_width=args.width,
+                sigma=args.sigma,
+                device_yield=args.device_yield,
+                seed=args.seed,
+                lanes=args.lanes or DEFAULT_LANES,
+                block=args.block or DEFAULT_BLOCK,
+                duty=args.duty,
+                battery_name=args.battery,
             )
-            report = run_yield_campaign(spec, instances, jobs=jobs)
+            report = run_yield_campaign(spec, args.instances, jobs=args.jobs)
             print(report.render())
             campaigns[report.design] = report.to_dict()
             history.append_record(
@@ -163,13 +98,13 @@ def yield_main(argv: list[str]) -> int:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
 
-    if report_path:
+    if args.report:
         wall = time.perf_counter() - started
         run_report = obs.build_run_report(
             ["yield"] + list(argv),
             wall,
             extra={"yield_campaigns": campaigns},
         )
-        obs.write_run_report(report_path, run_report)
-        print(f"report: {report_path}")
+        obs.write_run_report(args.report, run_report)
+        print(f"report: {args.report}")
     return 0

@@ -5,20 +5,9 @@
     python -m repro serve --port 8097 --jobs 2
     python -m repro serve --port 0          # ephemeral port (CI)
 
-Every flag has a ``REPRO_SERVE_*`` environment fallback (flag wins):
-
-=====================  =============================  ===============
-flag                   environment variable           default
-=====================  =============================  ===============
-``--host``             ``REPRO_SERVE_HOST``           ``127.0.0.1``
-``--port``             ``REPRO_SERVE_PORT``           ``8097``
-``--jobs``             ``REPRO_SERVE_JOBS``           1
-``--workers``          ``REPRO_SERVE_WORKERS``        1
-``--max-jobs``         ``REPRO_SERVE_MAX_JOBS``       256
-``--heartbeat``        ``REPRO_SERVE_HEARTBEAT``      15.0
-``--tick``             ``REPRO_SERVE_TICK``           2.0
-``--drain-timeout``    ``REPRO_SERVE_DRAIN_TIMEOUT``  10.0
-=====================  =============================  ===============
+Every flag but ``--verbose`` has a ``REPRO_SERVE_*`` environment
+fallback (the flag wins; ``--help`` lists them with their defaults, and
+a bad value is a usage error naming the variable).
 
 ``--jobs N`` is the **per-job process fan-out** (it becomes the
 session default for :func:`repro.exec.parallel_map`, so a sweep job
@@ -33,90 +22,42 @@ to 503), drains in-flight jobs for up to ``--drain-timeout`` seconds
 
 from __future__ import annotations
 
-import os
 import signal
 import sys
 import threading
 import time
+from dataclasses import replace
 
+from repro import cli
 
-def _usage() -> str:
-    return (
-        "usage: python -m repro serve [--host H] [--port P] [--jobs N]\n"
-        "           [--workers K] [--max-jobs M] [--heartbeat S]\n"
-        "           [--tick S] [--drain-timeout S] [--verbose]"
-    )
-
-
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(name, "")
-    if raw:
-        try:
-            return cast(raw)
-        except ValueError:
-            print(f"ignoring bad {name}={raw!r}", file=sys.stderr)
-    return fallback
+SERVE_OPTIONS = (
+    cli.Option("--host", str, "127.0.0.1", "bind address",
+               env="REPRO_SERVE_HOST"),
+    cli.Option("--port", cli.number(int, low=0, high=65535), 8097,
+               "bind port (0: ephemeral)", env="REPRO_SERVE_PORT"),
+    replace(cli.JOBS, default=1, env="REPRO_SERVE_JOBS",
+            help="per-job process fan-out"),
+    cli.Option("--workers", cli.positive_int, 1, "jobs run concurrently",
+               env="REPRO_SERVE_WORKERS"),
+    cli.Option("--max-jobs", cli.positive_int, 256,
+               "finished jobs kept", env="REPRO_SERVE_MAX_JOBS"),
+    cli.Option("--heartbeat", cli.number(float, above=0), 15.0,
+               "SSE keepalive (s)", env="REPRO_SERVE_HEARTBEAT"),
+    cli.Option("--tick", cli.number(float, above=0), 2.0,
+               "metrics delta interval (s)", env="REPRO_SERVE_TICK"),
+    cli.Option("--drain-timeout", cli.number(float, low=0), 10.0,
+               "shutdown drain budget (s)", env="REPRO_SERVE_DRAIN_TIMEOUT"),
+    cli.Option("--verbose", None, False, "log every HTTP request"),
+)
 
 
 def serve_main(argv: list[str]) -> int:
     """Entry point for the ``serve`` subcommand."""
-    host = _env("REPRO_SERVE_HOST", str, "127.0.0.1")
-    port = _env("REPRO_SERVE_PORT", int, 8097)
-    jobs = _env("REPRO_SERVE_JOBS", int, 1)
-    workers = _env("REPRO_SERVE_WORKERS", int, 1)
-    max_jobs = _env("REPRO_SERVE_MAX_JOBS", int, 256)
-    heartbeat = _env("REPRO_SERVE_HEARTBEAT", float, 15.0)
-    tick = _env("REPRO_SERVE_TICK", float, 2.0)
-    drain_timeout = _env("REPRO_SERVE_DRAIN_TIMEOUT", float, 10.0)
-    verbose = False
-
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-
-        def value(cast=str):
-            if i + 1 >= len(argv):
-                raise ValueError(f"{arg} needs an argument")
-            return cast(argv[i + 1])
-
-        try:
-            if arg == "--host":
-                host = value()
-                i += 1
-            elif arg == "--port":
-                port = value(int)
-                i += 1
-            elif arg == "--jobs":
-                jobs = value(int)
-                i += 1
-            elif arg == "--workers":
-                workers = value(int)
-                i += 1
-            elif arg == "--max-jobs":
-                max_jobs = value(int)
-                i += 1
-            elif arg == "--heartbeat":
-                heartbeat = value(float)
-                i += 1
-            elif arg == "--tick":
-                tick = value(float)
-                i += 1
-            elif arg == "--drain-timeout":
-                drain_timeout = value(float)
-                i += 1
-            elif arg == "--verbose":
-                verbose = True
-            elif arg in ("-h", "--help"):
-                print(_usage())
-                return 0
-            else:
-                print(f"unknown option {arg}", file=sys.stderr)
-                print(_usage(), file=sys.stderr)
-                return 2
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        i += 1
+    args = cli.parse("serve", SERVE_OPTIONS, argv, __doc__)
+    if isinstance(args, int):
+        return args
+    host, port = args.host, args.port
+    drain_timeout = args.drain_timeout
 
     from repro import exec as _exec
     from repro import obs
@@ -125,18 +66,19 @@ def serve_main(argv: list[str]) -> int:
     from repro.serve.server import ReproServer
 
     obs.enable()
-    if jobs and jobs > 1:
-        _exec.set_default_jobs(jobs)
+    if args.jobs > 1:
+        _exec.set_default_jobs(args.jobs)
 
     bus = live.activate()
-    ticker = live.SnapshotTicker(bus, interval=tick)
-    manager = JobManager(workers=workers, max_jobs=max_jobs)
+    ticker = live.SnapshotTicker(bus, interval=args.tick)
+    manager = JobManager(workers=args.workers, max_jobs=args.max_jobs)
     bus.add_tap(manager.tap)
     manager.start()
     ticker.start()
 
     server = ReproServer(
-        (host, port), manager, bus, heartbeat=heartbeat, quiet=not verbose
+        (host, port), manager, bus, heartbeat=args.heartbeat,
+        quiet=not args.verbose,
     )
     bound_port = server.server_address[1]
     # Parsed by CI / subprocess tests: keep this line's shape stable.

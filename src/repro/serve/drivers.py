@@ -4,12 +4,15 @@ Each kind maps a JSON ``params`` dict onto one of the repo's existing
 entry points and returns a JSON-serializable result.  Two invariants
 matter to the service layer:
 
-* **Canonical parameters** (:func:`canonical_params`): defaults are
-  filled in and values coerced to the default's type, so
-  ``{"instances": "500"}`` and ``{}``-with-defaults submit *the same*
-  job — the dedup key (:func:`repro.serve.jobs.job_key`) hashes the
-  canonical form.  Unknown parameter names are rejected up front
-  (HTTP 400) rather than surfacing as a confusing driver error.
+* **Canonical parameters** (:func:`canonical_params`): each kind's
+  parameters are :class:`repro.cli.Option` records -- the very options
+  of the command the kind runs -- so defaults, types and ranges match
+  the CLI's.  Values are validated and coerced through them, so
+  ``{"instances": "500"}`` and ``{"instances": 500}`` submit *the same*
+  job -- the dedup key (:func:`repro.serve.jobs.job_key`) hashes the
+  canonical form.  Unknown names and bad values are rejected up front
+  with a :class:`ConfigError` naming the parameter (HTTP 400) rather
+  than surfacing as a confusing driver error.
 * **Inherited fan-out**: drivers pass ``jobs=None`` everywhere, so the
   per-job process fan-out resolves through
   :func:`repro.exec.resolve_jobs` to the service's ``--jobs`` setting
@@ -22,17 +25,24 @@ or summarized here.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
+from repro.apps.campaign import CAMPAIGN_OPTIONS, campaign_target
+from repro.apps.place import PLACE_OPTIONS, _place_one
+from repro.apps.profile import PROFILE_OPTIONS, profile_design
+from repro.apps.yieldcli import YIELD_OPTIONS
+from repro.cli import CONFIG, TECHNOLOGY, Option, positive_int
 from repro.errors import ConfigError
 
-#: kind -> (defaults, driver) registry; see :func:`register_driver`.
-DRIVERS: dict[str, tuple[dict, Callable[[dict], dict]]] = {}
+#: kind -> (options, driver) registry; see :func:`register_driver`.
+DRIVERS: dict[str, tuple[tuple[Option, ...], Callable[[dict], dict]]] = {}
 
 
-def register_driver(kind: str, defaults: dict, fn: Callable[[dict], dict]) -> None:
-    """Add (or replace, for tests) one job kind."""
-    DRIVERS[kind] = (dict(defaults), fn)
+def register_driver(
+    kind: str, options: Sequence[Option], fn: Callable[[dict], dict]
+) -> None:
+    """Add (or replace, for tests) one job kind and its parameters."""
+    DRIVERS[kind] = (tuple(options), fn)
 
 
 def job_kinds() -> tuple[str, ...]:
@@ -41,37 +51,41 @@ def job_kinds() -> tuple[str, ...]:
 
 
 def canonical_params(kind: str, params: dict | None) -> dict:
-    """Defaults filled in, values coerced, unknown names rejected.
+    """Defaults filled in, values checked and coerced, unknown names rejected.
 
-    Coercion targets the *default's* type (int/float/str), so query
-    strings and JSON submit identical canonical forms; a default of
-    ``None`` passes the value through untouched.
+    Each value goes through its option's parser (native JSON values and
+    their string forms alike), so a request coerces exactly as the same
+    flag on the command line; ``None`` stands for the default.
+
+    Raises:
+        ConfigError: Naming the unknown kind, the unknown parameters, or
+            the parameter whose value is bad.
     """
     if kind not in DRIVERS:
         raise ConfigError(
             f"unknown job kind {kind!r} (have: {', '.join(job_kinds())})"
         )
-    defaults, _ = DRIVERS[kind]
-    params = dict(params or {})
-    unknown = sorted(set(params) - set(defaults))
+    options, _ = DRIVERS[kind]
+    if params is None:
+        params = {}
+    if not isinstance(params, dict):
+        raise ConfigError(f"{kind} params must be a JSON object")
+    by_name = {option.name: option for option in options}
+    unknown = sorted(set(params) - set(by_name))
     if unknown:
         raise ConfigError(
             f"unknown {kind} parameter(s): {', '.join(unknown)} "
-            f"(have: {', '.join(sorted(defaults))})"
+            f"(have: {', '.join(sorted(by_name))})"
         )
-    canonical = dict(defaults)
-    for name, value in params.items():
-        default = defaults[name]
-        if value is None or default is None:
-            canonical[name] = value
-        elif isinstance(default, bool):
-            canonical[name] = value in (True, 1, "1", "true", "yes")
-        elif isinstance(default, int):
-            canonical[name] = int(value)
-        elif isinstance(default, float):
-            canonical[name] = float(value)
-        else:
-            canonical[name] = str(value)
+    canonical = {}
+    for name, option in by_name.items():
+        value = params.get(name)
+        try:
+            canonical[name] = (
+                option.default if value is None else option.convert(value)
+            )
+        except (ValueError, ConfigError) as error:
+            raise ConfigError(f"{kind} parameter {name!r}: {error}") from None
     return canonical
 
 
@@ -124,27 +138,20 @@ def _run_yield(params: dict) -> dict:
 
 
 def _run_campaign(params: dict) -> dict:
-    from repro.coregen.config import config_from_name
     from repro.coregen.fault_test import run_fault_campaign
-    from repro.programs import build_benchmark
 
-    config = config_from_name(params["config"])
-    program = build_benchmark(
-        params["program"],
-        params["width"],
-        config.datawidth,
-        num_bars=config.num_bars,
+    program, config, design = campaign_target(
+        params["program"], params["width"], params["config"]
     )
-    max_faults = params["max_faults"]
     campaign = run_fault_campaign(
         program,
         config=config,
         stride=params["stride"],
-        max_faults=None if max_faults is None else int(max_faults),
+        max_faults=params["max_faults"],
         backend=params["backend"],
     )
     return {
-        "design": config.name,
+        "design": design,
         "program": params["program"],
         "backend": params["backend"],
         "total": campaign.total,
@@ -174,7 +181,6 @@ def _run_verify(params: dict) -> dict:
 
 
 def _run_profile(params: dict) -> dict:
-    from repro.apps.profile import profile_design
     from repro.coregen.config import config_from_name
 
     return profile_design(
@@ -187,8 +193,6 @@ def _run_profile(params: dict) -> dict:
 
 
 def _run_place(params: dict) -> dict:
-    from repro.apps.place import _place_one
-
     result = _place_one(
         params["fabric"],
         params["technology"],
@@ -203,53 +207,48 @@ def _run_place(params: dict) -> dict:
     return result
 
 
-register_driver("sweep", {"technology": "EGFET"}, _run_sweep)
+def _options(options: Sequence[Option], *names: str) -> tuple[Option, ...]:
+    """The named options of one command's spec, in ``names`` order."""
+    by_name = {option.name: option for option in options}
+    return tuple(by_name[name] for name in names)
+
+
+register_driver("sweep", (TECHNOLOGY,), _run_sweep)
 register_driver(
     "yield",
-    {
-        "config": "p1_8_2",
-        "technology": "EGFET",
-        "program": "mult",
-        "width": 8,
-        "instances": 500,
-        "sigma": 0.2,
-        "device_yield": 0.9999,
-        "seed": 0xBEEF,
-    },
+    (CONFIG, *_options(
+        YIELD_OPTIONS, "technology", "program", "width", "instances",
+        "sigma", "device_yield", "seed",
+    )),
     _run_yield,
 )
 register_driver(
     "campaign",
-    {
-        "config": "p1_8_2",
-        "program": "mult",
-        "width": 8,
-        "stride": 8,
-        "max_faults": None,
-        "backend": "batched",
-    },
+    _options(
+        CAMPAIGN_OPTIONS, "config", "program", "width", "stride",
+        "max_faults", "backend",
+    ),
     _run_campaign,
 )
-register_driver("verify", {"seeds": 8, "max_cycles": 20000}, _run_verify)
+register_driver(
+    "verify",
+    (
+        Option("--seeds", positive_int, 8, "corpus seeds 0..N-1"),
+        Option("--max-cycles", positive_int, 20_000,
+               "gate-level cycles per case before giving up"),
+    ),
+    _run_verify,
+)
 register_driver(
     "profile",
-    {
-        "config": "p1_8_2",
-        "program": "crc8",
-        "technology": "EGFET",
-        "backend": "compiled",
-        "max_cycles": 200_000,
-    },
+    (CONFIG, *_options(
+        PROFILE_OPTIONS, "program", "technology", "backend", "max_cycles",
+    )),
     _run_profile,
 )
 register_driver(
     "place",
-    {
-        "config": "p1_8_2",
-        "fabric": "medium",
-        "technology": "EGFET",
-        "seed": 0,
-        "sweeps": 10,
-    },
+    (CONFIG, *_options(PLACE_OPTIONS, "fabric", "technology", "seed",
+                       "sweeps")),
     _run_place,
 )

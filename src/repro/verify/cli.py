@@ -24,87 +24,50 @@ Divergences exit 1 (the campaign is the check); usage errors exit 2.
 
 from __future__ import annotations
 
-import sys
+from dataclasses import replace
 
-from repro.coregen.config import CoreConfig, config_from_name, standard_sweep
-from repro.errors import ConfigError
+from repro import cli
+from repro.coregen.config import config_from_name, standard_sweep
+from repro.verify.corpus import DEFAULT_CONFIGS, run_campaign
+from repro.verify.differential import DEFAULT_EXECUTORS, fault_site_for_output
 
 #: Representative pair for quick lint runs: the simplest core and a
 #: deep-pipeline wide one (most distinct structure in the grid).
 LINT_DEFAULTS = ("p1_8_2", "p3_16_4")
 
+VERIFY_OPTIONS = (
+    cli.SEED,
+    cli.Option("--count", cli.positive_int, 20, "seeds, from --seed on"),
+    cli.JOBS,
+    cli.Option("--max-instructions", cli.positive_int, 20,
+               "longest random program"),
+    cli.Option("--configs", cli.comma_list(cli.config_name),
+               tuple(c.name for c in DEFAULT_CONFIGS), "cores, comma-separated"),
+    cli.Option("--executors", cli.comma_list(), DEFAULT_EXECUTORS,
+               "comma-separated", choices=DEFAULT_EXECUTORS),
+    cli.Option("--shrink-dir", str, None, "write shrunk repros here"),
+    cli.Option("--inject-fault", str, None,
+               "stuck-at-1 on BUS[:BIT]'s driver; exit 1 if missed"),
+)
 
-def _parse_config(name: str) -> CoreConfig:
-    """A CoreConfig from its ``pP_D_B`` sweep name (e.g. ``p1_8_2``)."""
-    try:
-        return config_from_name(name)
-    except ConfigError as error:
-        raise ValueError(str(error))
-
-
-def _usage_error(message: str) -> int:
-    print(message, file=sys.stderr)
-    print(__doc__, file=sys.stderr)
-    return 2
+LINT_OPTIONS = (
+    replace(cli.CONFIGS, default=LINT_DEFAULTS),
+    cli.Option("--all", None, False, "lint all 24 configurations"),
+    cli.Option("--verbose", None, False, "also print warnings", short="-v"),
+)
 
 
 def verify_main(argv: list[str]) -> int:
     """Entry point for ``python -m repro verify ...``."""
-    from repro.verify.corpus import DEFAULT_CONFIGS, run_campaign
-    from repro.verify.differential import (
-        DEFAULT_EXECUTORS,
-        fault_site_for_output,
-    )
-
-    seed = 0
-    count = 20
-    configs = list(DEFAULT_CONFIGS)
-    executors = DEFAULT_EXECUTORS
-    jobs = None
-    shrink_dir = None
-    inject = None
-    max_instructions = 20
-
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-
-        def value() -> str:
-            nonlocal i
-            i += 1
-            if i >= len(argv):
-                raise ValueError(f"{arg} needs an argument")
-            return argv[i]
-
-        try:
-            if arg == "--seed":
-                seed = int(value())
-            elif arg == "--count":
-                count = int(value())
-            elif arg == "--jobs":
-                jobs = int(value())
-            elif arg == "--max-instructions":
-                max_instructions = int(value())
-            elif arg == "--configs":
-                configs = [_parse_config(n) for n in value().split(",")]
-            elif arg == "--executors":
-                executors = tuple(value().split(","))
-            elif arg == "--shrink-dir":
-                shrink_dir = value()
-            elif arg == "--inject-fault":
-                inject = value()
-            else:
-                return _usage_error(f"unknown verify option {arg!r}")
-        except ValueError as error:
-            return _usage_error(str(error))
-        i += 1
-
+    args = cli.parse("verify", VERIFY_OPTIONS, argv, __doc__)
+    if isinstance(args, int):
+        return args
+    configs = [config_from_name(name) for name in args.configs]
     fault = None
-    if inject is not None:
-        if len(configs) != 1:
-            # A fault is an instance index into one specific netlist.
-            configs = configs[:1]
-        bus, _, bit = inject.partition(":")
+    if args.inject_fault is not None:
+        # A fault is an instance index into one specific netlist.
+        configs = configs[:1]
+        bus, _, bit = args.inject_fault.partition(":")
         from repro.coregen.generator import generate_core
 
         try:
@@ -112,8 +75,12 @@ def verify_main(argv: list[str]) -> int:
                 generate_core(configs[0]), bus, int(bit) if bit else 0
             )
         except Exception as error:
-            return _usage_error(f"--inject-fault {inject!r}: {error}")
+            return cli.usage_error(
+                "verify", VERIFY_OPTIONS,
+                f"argument --inject-fault: {args.inject_fault!r}: {error}",
+            )
 
+    seed, count, executors = args.seed, args.count, args.executors
     names = ",".join(c.name for c in configs)
     print(
         f"verify: seeds {seed}..{seed + count - 1} x configs {names} "
@@ -124,9 +91,9 @@ def verify_main(argv: list[str]) -> int:
         configs=configs,
         executors=executors,
         fault=fault,
-        jobs=jobs,
-        max_instructions=max_instructions,
-        out_dir=shrink_dir,
+        jobs=args.jobs,
+        max_instructions=args.max_instructions,
+        out_dir=args.shrink_dir,
     )
     for case in result.failures:
         print(f"  seed {case.seed} @ {case.config_name}:")
@@ -150,45 +117,22 @@ def lint_main(argv: list[str]) -> int:
     """Entry point for ``python -m repro lint ...``."""
     from repro.verify.lint import lint_core
 
-    names: list[str] = []
-    show_all = False
-    verbose = False
-    for arg in argv:
-        if arg == "--all":
-            show_all = True
-        elif arg in ("-v", "--verbose"):
-            verbose = True
-        elif arg.startswith("-"):
-            return _usage_error(f"unknown lint option {arg!r}")
-        else:
-            names.append(arg)
-
-    if show_all:
+    args = cli.parse("lint", LINT_OPTIONS, argv, __doc__)
+    if isinstance(args, int):
+        return args
+    if args.all:
         configs = standard_sweep()
     else:
-        try:
-            configs = [_parse_config(n) for n in (names or LINT_DEFAULTS)]
-        except ValueError as error:
-            return _usage_error(str(error))
+        configs = [config_from_name(name) for name in args.configs]
 
     failed = 0
     for config in configs:
         report = lint_core(config)
         print(report.summary())
         for finding in report.findings:
-            if finding.severity == "error" or verbose:
+            if finding.severity == "error" or args.verbose:
                 print(f"  {finding}")
         if not report.ok:
             failed += 1
     return 0 if failed == 0 else 1
 
-
-def main(argv: list[str]) -> int:
-    """Dispatch ``verify`` / ``lint`` subcommands."""
-    if not argv:
-        return _usage_error("verify/lint: missing subcommand")
-    if argv[0] == "verify":
-        return verify_main(argv[1:])
-    if argv[0] == "lint":
-        return lint_main(argv[1:])
-    return _usage_error(f"unknown subcommand {argv[0]!r}")

@@ -33,7 +33,7 @@ from repro.coregen.cosim import architectural_nets, cosim_verify
 from repro.coregen.fault_test import halt_word_encoder
 from repro.coregen.generator import generate_core
 from repro.coregen.isa_map import encode_program_for_core
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.isa.analysis import analyze_program
 from repro.isa.program import Program
 from repro.isa.spec import Instruction, MemOperand, Mnemonic
@@ -324,7 +324,18 @@ def differential_check(
     list = full agreement).  An executor that *crashes* (e.g. a
     fault-wedged pipeline that never quiesces) counts as divergent
     rather than aborting the campaign.
+
+    Raises:
+        ConfigError: If ``executors`` names an executor outside
+            :data:`DEFAULT_EXECUTORS` (a typo would otherwise drop it
+            silently).
     """
+    unknown = sorted(set(executors) - set(DEFAULT_EXECUTORS))
+    if unknown:
+        raise ConfigError(
+            f"unknown executor(s) {', '.join(map(repr, unknown))} "
+            f"(choose from {', '.join(DEFAULT_EXECUTORS)})"
+        )
     divergences: list[Divergence] = []
 
     def record(executor: str, config_name: str, details) -> None:

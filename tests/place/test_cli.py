@@ -81,7 +81,7 @@ class TestPlaceCli:
         code = place_main(
             ["p1_4_2", "--fabric", "nope", "--out", str(tmp_path)]
         )
-        assert code == 1
+        assert code == 2
         assert "unknown fabric" in capsys.readouterr().err
 
     def test_help(self, capsys):

@@ -16,6 +16,7 @@ import urllib.request
 import pytest
 
 from repro import obs
+from repro.cli import Option
 from repro.obs import live
 from repro.serve import drivers
 from repro.serve.jobs import JobManager
@@ -59,9 +60,18 @@ def serve_obs():
     obs.enable()
     bus = live.activate(live.LiveBus(buffer=64))
     drivers.register_driver(
-        "echo", {"value": 0, "sleep_s": 0.0, "fail": False}, _run_echo
+        "echo",
+        (
+            Option("--value", int, 0),
+            Option("--sleep-s", float, 0.0),
+            Option("--fail", None, False),
+        ),
+        _run_echo,
     )
-    drivers.register_driver("fanout", {"items": 8, "jobs": 2}, _run_fanout)
+    drivers.register_driver(
+        "fanout", (Option("--items", int, 8), Option("--jobs", int, 2)),
+        _run_fanout,
+    )
     try:
         yield bus
     finally:

@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from repro import obs
+from repro.apps.yieldcli import YIELD_OPTIONS
+from repro.cli import parse
 
 from tests.obs.test_promtext import parse_prometheus
 from tests.serve.conftest import get, get_json, post_json, wait_until
@@ -145,6 +149,32 @@ class TestJobsEndpoint:
             raise AssertionError("expected HTTP 413")
         except urllib.error.HTTPError as exc:
             assert exc.code == 413
+
+
+class TestBadParams:
+    @pytest.mark.parametrize("kind, params", [
+        ("yield", {"instances": "abc"}),
+        ("yield", {"instances": 0}),
+        ("yield", {"config": "q9"}),
+        ("campaign", {"backend": "bogus"}),
+        ("campaign", {"max_faults": "abc"}),
+    ])
+    def test_bad_param_is_400_naming_it(self, server, kind, params):
+        (name,) = params
+        status, body = post_json(
+            f"{server}/jobs", {"kind": kind, "params": params}
+        )
+        assert status == 400
+        assert f"{kind} parameter {name!r}" in body["error"]
+        assert get_json(f"{server}/healthz")[0] == 200
+
+    def test_hex_seed_canonicalizes_like_the_cli(self, server):
+        cli_seed = parse("yield", YIELD_OPTIONS, ["p1_8_2", "--seed", "0xBEEF"]).seed
+        done = _submit_and_wait(
+            server, "yield", {"seed": "0xBEEF", "instances": 64}
+        )
+        assert done["params"]["seed"] == cli_seed == 48879
+        assert done["status"] == "done", done
 
 
 class TestStatusPage:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.coregen.config import CoreConfig
 from repro.coregen.generator import generate_core
+from repro.errors import ConfigError
 from repro.isa.program import Program
 from repro.isa.spec import Instruction, MemOperand, Mnemonic
 from repro.verify.differential import (
@@ -29,6 +30,17 @@ class TestAgreement:
             )
             divergences = differential_check(program, config, seed=seed)
             assert not divergences, "; ".join(str(d) for d in divergences)
+
+    @pytest.mark.parametrize("executors", [("bogus",), ("numpy", "ps_isa")])
+    def test_unknown_executor_rejected(self, executors):
+        from repro.verify.corpus import run_campaign
+
+        config = CoreConfig(datawidth=8, pipeline_stages=1, num_bars=2)
+        program = random_program(0, datawidth=8, num_bars=2)
+        with pytest.raises(ConfigError, match="ps-isa"):
+            differential_check(program, config, executors=executors)
+        with pytest.raises(ConfigError, match="unknown executor"):
+            run_campaign([0], configs=(config,), executors=executors)
 
     def test_bitparallel_batches_lanes(self):
         config = CoreConfig(datawidth=8, pipeline_stages=1, num_bars=2)
