@@ -232,10 +232,9 @@ OPTIONS = (
     Option("--trace-out", str, None,
            "also export the trace (.json array, else JSONL)"),
     Option("--report-out", str, DEFAULT_REPORT, "run report path"),
-    Option("targets", str, ["list"],
-           "list | all | export [DIR] | stats | "
-           + " | ".join(TARGETS) + " | COMMAND ... (" + ", ".join(COMMANDS)
-           + "; each takes --help)", many=True),
+    Option("targets", str, ["list"], f"list, all, export [DIR], stats or "
+           f"{', '.join(TARGETS)}; or one of the commands "
+           f"{', '.join(COMMANDS)} (each takes --help)", many=True),
 )
 
 

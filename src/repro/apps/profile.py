@@ -56,7 +56,6 @@ PROFILE_SCHEMA = "repro.apps.design_profile/v1"
 DEFAULT_PROBE_GROUPS = ("pc", "flags", "bars", "bus")
 
 
-
 def _regex(text: str) -> str:
     try:
         re.compile(text)
@@ -397,10 +396,11 @@ def profile_main(argv: list[str]) -> int:
     start = time.perf_counter()
 
     multiple = len(configs) > 1
-    vcd = args.vcd
     overrides = [
         {
-            "vcd_path": _suffixed(vcd, c.name, multiple) if vcd else None,
+            "vcd_path": (
+                _suffixed(args.vcd, c.name, multiple) if args.vcd else None
+            ),
         }
         for c in configs
     ]

@@ -75,6 +75,7 @@ def number(kind: type = int, low=None, high=None, above=None):
     """
 
     def parse(text: str):
+        """One bounded number from ``text``; ``ValueError`` names the problem."""
         try:
             if kind is float:
                 value = float(text)
@@ -100,6 +101,7 @@ def comma_list(item: Callable[[str], Any] = str):
     """Parser of a non-empty comma-separated list (a tuple)."""
 
     def parse(text: str) -> tuple:
+        """The items of ``text``; ``ValueError`` if there are none."""
         values = tuple(item(part) for part in text.split(",") if part)
         if not values:
             raise ValueError(f"expected a comma-separated list, got {text!r}")
