@@ -522,11 +522,11 @@ def bench_yield_engine(units: int = 50_000, scalar_trials: int = 24) -> dict:
         scalar_elapsed = float("inf")
         for _ in range(2):
             start = time.perf_counter()
-            dist = monte_carlo_timing(
+            samples = monte_carlo_timing(
                 netlist, library, sigma=0.2, trials=scalar_trials, seed=seed
             )
             scalar_elapsed = min(scalar_elapsed, time.perf_counter() - start)
-    if not np.array_equal(np.array(dist.samples), delays[:scalar_trials]):
+    if not np.array_equal(np.array(samples), delays[:scalar_trials]):
         raise AssertionError(
             "vectorized delay samples diverged from the scalar reference"
         )

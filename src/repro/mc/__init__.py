@@ -12,8 +12,9 @@ fleet:
   samples, so sharding and trial count never change a unit's dice roll;
 * :mod:`repro.mc.timing` -- vectorized variation-aware STA: per-cell
   lognormal delay factors as a ``(cells, instances)`` matrix pushed
-  through the levelized row layout of :mod:`repro.netlist.nsim`, one
-  ``max``/``add`` pass per logic level for every instance at once;
+  through STA's own (rise, fall) arrival pass
+  (:func:`repro.netlist.sta.propagate`), one column per instance, so
+  the fleet's sigma-0 fmax is the STA fmax;
 * :mod:`repro.mc.fyield` -- sampled device defects mapped to stuck-at
   faults and lane-packed through the real netlist
   (:class:`~repro.netlist.lanes.LanePlan` + ``NumpySimulator``), so

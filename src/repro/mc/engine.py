@@ -204,7 +204,8 @@ class YieldReport:
         design / technology / program: Campaign identity.
         instances: Fleet size sampled.
         seed / sigma / device_yield: Sampling parameters.
-        nominal_fmax: 1 / variation-free critical delay (Hz).
+        nominal_fmax: 1 / variation-free critical delay (Hz): the
+            STA fmax of the core.
         mean_delay: Fleet mean critical delay (s), exact.
         fmax_quantiles: ``q -> Hz``; the fraction ``q`` of units is
             *slower* than this clock (``fmax_q(p) = 1 / delay_q(1-p)``).

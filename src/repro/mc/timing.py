@@ -5,11 +5,13 @@ trial in pure Python -- fine for 24 trials, hopeless for a printed
 fleet of 10^5-10^6 units.  This module keeps that walk as the *scalar
 reference* and adds the production path: per-cell lognormal delay
 factors sampled as a ``(cells, units)`` matrix
-(:class:`~repro.mc.sampling.SubstreamSampler`, domain ``"timing"``),
-propagated through the levelized row layout already built for the
-numpy simulation kernels (:func:`repro.netlist.nsim.levelized_layout`)
--- one vectorized ``maximum``/``add`` pass per logic level computes
-every unit's arrival front simultaneously.
+(:class:`~repro.mc.sampling.SubstreamSampler`, domain ``"timing"``)
+and pushed through the arrival pass of STA itself
+(:func:`repro.netlist.sta.propagate`), one column per unit.  The fleet
+is therefore polarity-aware and load-derated like STA: one factor per
+cell scales both its rise and its fall delay, and at sigma 0 every
+factor is 1.0, so :func:`nominal_delay` equals
+``timing_report(netlist, library).critical_path_delay`` exactly.
 
 Bit-exact against the scalar walk by construction: both paths apply
 the same IEEE-754 operations per element (same sample words, same
@@ -18,9 +20,9 @@ the same IEEE-754 operations per element (same sample words, same
 sample vector *exactly*, asserted across the sweep by
 ``tests/mc/test_timing.py``.
 
-The per-(netlist, library) geometry -- level gather indices, base
-delays, endpoint rows -- is prepared once and memoized on the netlist
-(``mc.timing.cache_hits`` / ``mc.timing.cache_misses``).
+The per-(netlist, library) arrival plan and derated delays are
+prepared once and memoized on the netlist (``mc.timing.cache_hits`` /
+``mc.timing.cache_misses``).
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PDKError
-from repro.netlist.core import Netlist, SEQUENTIAL_CELLS
-from repro.netlist.nsim import levelized_layout
+from repro.netlist.core import Netlist
+from repro.netlist.sta import ArrivalPlan, arrival_plan, cell_delays, propagate
 from repro.obs.metrics import counter as _obs_counter
 from repro.pdk.cells import CellLibrary
 
@@ -40,51 +42,34 @@ from repro.mc.sampling import SubstreamSampler
 #: Sampler namespace for delay-factor draws.
 TIMING_DOMAIN = "timing"
 
-#: Units processed per arrival-matrix pass.  Bounds peak memory at
-#: about ``(rows + cells + 3 * widest_level) * block * 8`` bytes -- the
-#: factor and arrival matrices plus one level's gathers; 15-52 MiB on
-#: p1_{4..32}_2 by tracemalloc -- while keeping each ufunc call long
-#: enough to amortize dispatch.
+#: Units per campaign shard (:class:`~repro.mc.engine.YieldSpec`
+#: ``block``) and the most units :func:`sample_delays` draws at once.
 DEFAULT_BLOCK = 2048
+
+#: Units per factor draw and arrival pass.  Bounds peak memory at about
+#: ``(cells + 2 * rows + 3 * widest_level) * 512 * 8`` bytes -- the
+#: factor and two-edge arrival matrices plus one level's gathers;
+#: XX MiB on p1_{4..32}_2 by tracemalloc -- while keeping each ufunc
+#: call long enough to amortize dispatch.
+_CHUNK = 512
 
 _KERNEL_HITS = _obs_counter("mc.timing.cache_hits")
 _KERNEL_MISSES = _obs_counter("mc.timing.cache_misses")
 
 
 @dataclass(frozen=True)
-class _Level:
-    """Gather geometry for one logic level of the arrival pass."""
-
-    lo: int  # output row range [lo, hi) -- contiguous by layout
-    hi: int
-    in1: np.ndarray  # first-input row per instance
-    in2: np.ndarray  # second-input row (== in1 for 1-input cells)
-    base: np.ndarray  # worst-edge base delay per instance
-    streams: np.ndarray  # sampler stream (instance index) per instance
-
-
-@dataclass(frozen=True)
 class TimingKernel:
-    """Prepared arrival-propagation geometry for one (netlist, library).
+    """The timing model prepared for one (netlist, library).
 
     Attributes:
-        rows: Arrival-matrix row count (== net count).
+        plan: The netlist's arrival plan.
+        delays: Wire-blind derated delay per arrival-matrix edge row.
         cells: Instance count (sampler stream count).
-        levels: Per-level gather geometry, dependency order.
-        flop_rows: Q-output rows seeded with the clk-to-Q launch.
-        flop_base: Worst-edge base delay per sequential instance.
-        flop_streams: Sampler stream per sequential instance.
-        endpoint_rows: Rows maximized into the critical delay (flop
-            inputs plus primary output nets).
     """
 
-    rows: int
+    plan: ArrivalPlan
+    delays: np.ndarray
     cells: int
-    levels: tuple[_Level, ...]
-    flop_rows: np.ndarray
-    flop_base: np.ndarray
-    flop_streams: np.ndarray
-    endpoint_rows: np.ndarray
 
 
 def timing_kernel(netlist: Netlist, library: CellLibrary) -> TimingKernel:
@@ -95,84 +80,15 @@ def timing_kernel(netlist: Netlist, library: CellLibrary) -> TimingKernel:
         _KERNEL_HITS.inc()
         return kernel
     _KERNEL_MISSES.inc()
-
-    layout, levels = levelized_layout(netlist)
-    row_of = layout.row_of
-    index_of = {id(inst): k for k, inst in enumerate(netlist.instances)}
-    base_delay = [library.cell(i.cell).worst_delay for i in netlist.instances]
-
-    level_geometry = []
-    for instances in levels:
-        if not instances:
-            continue
-        lo = row_of[instances[0].output]
-        level_geometry.append(
-            _Level(
-                lo=lo,
-                hi=lo + len(instances),
-                in1=np.array(
-                    [row_of[i.inputs[0]] for i in instances], dtype=np.intp
-                ),
-                in2=np.array(
-                    [
-                        row_of[i.inputs[1] if len(i.inputs) > 1 else i.inputs[0]]
-                        for i in instances
-                    ],
-                    dtype=np.intp,
-                ),
-                base=np.array(
-                    [base_delay[index_of[id(i)]] for i in instances],
-                    dtype=np.float64,
-                ),
-                streams=np.array(
-                    [index_of[id(i)] for i in instances], dtype=np.intp
-                ),
-            )
-        )
-
-    flops = [i for i in netlist.instances if i.cell in SEQUENTIAL_CELLS]
-    endpoint_nets: set[int] = set()
-    for flop in flops:
-        endpoint_nets.update(flop.inputs)
-    for bus in netlist.outputs.values():
-        endpoint_nets.update(bus.nets)
-
+    plan = arrival_plan(netlist)
     kernel = TimingKernel(
-        rows=layout.rows,
+        plan=plan,
+        delays=plan.edge_delays(cell_delays(netlist, library)),
         cells=len(netlist.instances),
-        levels=tuple(level_geometry),
-        flop_rows=np.array([row_of[f.output] for f in flops], dtype=np.intp),
-        flop_base=np.array(
-            [base_delay[index_of[id(f)]] for f in flops], dtype=np.float64
-        ),
-        flop_streams=np.array(
-            [index_of[id(f)] for f in flops], dtype=np.intp
-        ),
-        endpoint_rows=np.array(
-            sorted(row_of[net] for net in endpoint_nets), dtype=np.intp
-        ),
     )
     cache[library.name] = kernel
     netlist._mc_timing = cache
     return kernel
-
-
-def _propagate(kernel: TimingKernel, factors: np.ndarray) -> np.ndarray:
-    """Critical delay per unit for one ``(cells, n)`` factor block."""
-    n = factors.shape[1]
-    arrival = np.zeros((kernel.rows, n), dtype=np.float64)
-    if kernel.flop_rows.size:
-        arrival[kernel.flop_rows] = (
-            kernel.flop_base[:, None] * factors[kernel.flop_streams]
-        )
-    for level in kernel.levels:
-        arrival[level.lo : level.hi] = (
-            np.maximum(arrival[level.in1], arrival[level.in2])
-            + level.base[:, None] * factors[level.streams]
-        )
-    if not kernel.endpoint_rows.size:
-        return np.zeros(n, dtype=np.float64)
-    return arrival[kernel.endpoint_rows].max(axis=0)
 
 
 def sample_delays(
@@ -200,12 +116,19 @@ def sample_delays(
     kernel = timing_kernel(netlist, library)
     sampler = SubstreamSampler(seed, kernel.cells, TIMING_DOMAIN)
     out = np.empty(hi - lo, dtype=np.float64)
-    for start in range(lo, hi, block):
-        stop = min(start + block, hi)
+    step = min(block, _CHUNK)
+    arrival = np.zeros((kernel.plan.edge_rows, 0))
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
         factors = sampler.normals(start, stop)
         factors *= sigma
         np.exp(factors, out=factors)
-        out[start - lo : stop - lo] = _propagate(kernel, factors)
+        if arrival.shape[1] != stop - start:
+            # Port and constant rows stay zero; each pass rewrites the rest.
+            arrival = np.zeros((kernel.plan.edge_rows, stop - start))
+        out[start - lo : stop - lo] = propagate(
+            kernel.plan, kernel.delays, factors, arrival
+        )
     return out
 
 
@@ -213,4 +136,5 @@ def nominal_delay(netlist: Netlist, library: CellLibrary) -> float:
     """Critical delay with every factor pinned to 1 (sigma = 0)."""
     kernel = timing_kernel(netlist, library)
     factors = np.ones((kernel.cells, 1), dtype=np.float64)
-    return float(_propagate(kernel, factors)[0])
+    arrival = np.zeros((kernel.plan.edge_rows, 1), dtype=np.float64)
+    return float(propagate(kernel.plan, kernel.delays, factors, arrival)[0])

@@ -61,7 +61,7 @@ from repro.errors import SimulationError, UnsupportedInLaneMode
 from repro.exec.cache import load_artifact, source_digest, store_artifact, structural_hash
 from repro.netlist.core import CONST1, Instance, Netlist, SEQUENTIAL_CELLS
 from repro.netlist.lanes import LanePlan
-from repro.netlist.sta import _topological_order
+from repro.netlist.nsim import topological_order
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.runtime import STATE as _OBS
 from repro.obs.trace import span as _obs_span
@@ -140,7 +140,7 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
 
 def _generate_source(netlist: Netlist) -> str:
     """Emit the four straight-line functions as Python source."""
-    order = _topological_order(netlist)
+    order = topological_order(netlist)
     position = {inst.output: n for n, inst in enumerate(netlist.instances)}
     flops = [i for i in netlist.instances if i.cell in SEQUENTIAL_CELLS]
     comb_outputs = {inst.output for inst in order}
@@ -257,7 +257,7 @@ def _bind(code, source: str) -> CompiledNetlist:
 def _artifact_key(netlist: Netlist) -> str:
     """Disk-cache key: structure + the compiler/levelizer source digest."""
     return structural_hash(netlist) + source_digest(
-        "repro.netlist.compile", "repro.netlist.sta"
+        "repro.netlist.compile", "repro.netlist.nsim"
     )
 
 

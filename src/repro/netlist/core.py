@@ -113,14 +113,15 @@ class Netlist:
         :func:`repro.netlist.compile.compiled_netlist` caches exec'd
         function objects on the netlist; those are not picklable and
         are cheap to rebuild (they have their own on-disk artifact
-        cache).  :func:`repro.netlist.nsim.numpy_netlist` caches
-        gather plans that rebuild in milliseconds.  So the on-disk
-        netlist artifact and process-pool transfers carry structure
-        only.
+        cache).  :func:`repro.netlist.nsim.numpy_netlist`,
+        :func:`repro.netlist.sta.arrival_plan` and
+        :func:`repro.mc.timing.timing_kernel` cache index and delay
+        arrays that rebuild in milliseconds.  So the on-disk netlist
+        artifact and process-pool transfers carry structure only.
         """
         state = dict(self.__dict__)
-        state.pop("_compiled_sim", None)
-        state.pop("_numpy_sim", None)
+        for memo in ("_compiled_sim", "_numpy_sim", "_sta_plan", "_mc_timing"):
+            state.pop(memo, None)
         return state
 
     # -- net management ----------------------------------------------------

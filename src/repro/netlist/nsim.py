@@ -57,15 +57,15 @@ is asserted across the whole Figure 7 sweep by
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.errors import SimulationError, UnsupportedInLaneMode
-from repro.netlist.core import CONST1, Instance, Netlist, SEQUENTIAL_CELLS
+from repro.errors import SimulationError, TimingError, UnsupportedInLaneMode
+from repro.netlist.core import CONST0, CONST1, Instance, Netlist, SEQUENTIAL_CELLS
 from repro.netlist.lanes import LanePlan
-from repro.netlist.sta import _topological_order
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.runtime import STATE as _OBS
 from repro.obs.trace import span as _obs_span
@@ -79,7 +79,9 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONE = np.uint64(1)
 
 #: Row group of each combinational cell inside its level.  INV joins
-#: NAND as ``NAND(a, a)``; TSBUF gates data with enable, an AND.
+#: NAND as ``NAND(a, a)``; TSBUF gates data with enable, an AND.  The
+#: groups are also STA's polarity classes (:mod:`repro.netlist.sta`):
+#: 1-2 invert, 4-5 are non-monotone, 0 and 3 keep the edge.
 _GROUP = {
     "AND2X1": 0, "TSBUFX1": 0, "NAND2X1": 1, "INVX1": 1,
     "NOR2X1": 2, "OR2X1": 3, "XOR2X1": 4, "XNOR2X1": 5,
@@ -104,15 +106,12 @@ class NumpyLayout:
             parked at the end of the matrix.
         level_slices: Contiguous ``(lo, hi)`` row range per logic
             level, in dependency order.
-        level_of: Logic level per combinational output net (sources
-            are absent).
     """
 
     row_of: dict[int, int]
     rows: int
     source_rows: int
     level_slices: tuple[tuple[int, int], ...]
-    level_of: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -155,12 +154,53 @@ class NumpyCompiled:
     reset_row: int | None
 
 
-def _levelize(netlist: Netlist) -> tuple[list[list[Instance]], dict[int, int]]:
+def topological_order(netlist: Netlist) -> list[Instance]:
+    """Topologically sort combinational instances.
+
+    Sequential outputs, ports, and constants are sources.  A cycle
+    through combinational cells raises :class:`TimingError`.  The one
+    order every netlist walk uses: the levelizer below, STA, the
+    interpreted and compiled simulators, probes, the variation oracle
+    and the placer.
+    """
+    combinational = [i for i in netlist.instances if i.cell not in SEQUENTIAL_CELLS]
+    consumers: dict[int, list[Instance]] = defaultdict(list)
+    pending: dict[int, int] = {}
+    sources = {CONST0, CONST1}
+    for bus in netlist.inputs.values():
+        sources.update(bus.nets)
+    for instance in netlist.instances:
+        if instance.cell in SEQUENTIAL_CELLS:
+            sources.add(instance.output)
+    for instance in combinational:
+        needed = 0
+        for net in instance.inputs:
+            if net not in sources:
+                consumers[net].append(instance)
+                needed += 1
+        pending[id(instance)] = needed
+
+    ready = deque(i for i in combinational if pending[id(i)] == 0)
+    ordered: list[Instance] = []
+    while ready:
+        instance = ready.popleft()
+        ordered.append(instance)
+        for consumer in consumers.get(instance.output, ()):
+            pending[id(consumer)] -= 1
+            if pending[id(consumer)] == 0:
+                ready.append(consumer)
+    if len(ordered) != len(combinational):
+        raise TimingError(
+            f"combinational loop: {len(combinational) - len(ordered)} cells unordered"
+        )
+    return ordered
+
+
+def _levelize(netlist: Netlist) -> list[list[Instance]]:
     """Group combinational instances by logic level, in topo order."""
-    order = _topological_order(netlist)
     level_of: dict[int, int] = {}
     levels: list[list[Instance]] = []
-    for inst in order:
+    for inst in topological_order(netlist):
         level = 0
         for net in inst.inputs:
             input_level = level_of.get(net)
@@ -170,7 +210,7 @@ def _levelize(netlist: Netlist) -> tuple[list[list[Instance]], dict[int, int]]:
         while len(levels) <= level:
             levels.append([])
         levels[level].append(inst)
-    return levels, level_of
+    return levels
 
 
 def _group(instance: Instance) -> int:
@@ -182,9 +222,8 @@ def _group(instance: Instance) -> int:
 
 def _layout(netlist: Netlist) -> tuple[NumpyLayout, list[list[Instance]]]:
     """Assign matrix rows: sources, then levels by ufunc group, then unused."""
-    levels, level_of = _levelize(netlist)
-    levels = [sorted(instances, key=_group) for instances in levels]
-    sources = {0, 1}  # CONST0, CONST1
+    levels = [sorted(instances, key=_group) for instances in _levelize(netlist)]
+    sources = {CONST0, CONST1}
     for bus in netlist.inputs.values():
         sources.update(bus.nets)
     for instance in netlist.instances:
@@ -209,24 +248,9 @@ def _layout(netlist: Netlist) -> tuple[NumpyLayout, list[list[Instance]]]:
             rows=netlist.net_count,
             source_rows=source_rows,
             level_slices=tuple(level_slices),
-            level_of=level_of,
         ),
         levels,
     )
-
-
-def levelized_layout(
-    netlist: Netlist,
-) -> tuple[NumpyLayout, list[list[Instance]]]:
-    """Public row layout + per-level instance lists for ``netlist``.
-
-    The same levelized geometry the simulation kernels use, exposed
-    for other vectorized passes over the value matrix -- the
-    Monte-Carlo timing engine (:mod:`repro.mc.timing`) propagates
-    arrival times level by level through exactly these rows.  Each
-    level's list is in row order: ``row_of[level[j].output] == lo + j``.
-    """
-    return _layout(netlist)
 
 
 def compile_numpy_netlist(netlist: Netlist) -> NumpyCompiled:

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import SimulationError
 from repro.netlist.core import CONST0, CONST1, Netlist, SEQUENTIAL_CELLS
-from repro.netlist.sta import _topological_order
+from repro.netlist.nsim import topological_order
 
 #: Architectural probe groups understood by :func:`resolve_probes`.
 ARCH_GROUPS = ("pc", "flags", "bars", "bus")
@@ -221,7 +221,7 @@ def module_map(netlist: Netlist) -> list[str]:
 
     result = [""] * len(netlist.instances)
     position = {inst.output: n for n, inst in enumerate(netlist.instances)}
-    order = _topological_order(netlist)
+    order = topological_order(netlist)
     sequential = [
         (index, inst)
         for index, inst in enumerate(netlist.instances)

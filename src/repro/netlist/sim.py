@@ -39,7 +39,7 @@ from repro.netlist.core import (
     Netlist,
     SEQUENTIAL_CELLS,
 )
-from repro.netlist.sta import _topological_order
+from repro.netlist.nsim import topological_order
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.metrics import histogram as _obs_histogram
 from repro.obs.runtime import STATE as _OBS
@@ -73,7 +73,7 @@ class CycleSimulator:
                 raise SimulationError("level-sensitive latches are not simulatable")
         self.netlist = netlist
         self.backend = backend
-        self._order = _topological_order(netlist)
+        self._order = topological_order(netlist)
         self._flops = [i for i in netlist.instances if i.cell in SEQUENTIAL_CELLS]
         # Positional instance indices (toggle counters are reported per
         # index into ``netlist.instances``).

@@ -1,8 +1,8 @@
-"""Static timing analysis over mapped netlists.
+"""Static timing analysis over mapped netlists: the one timing model.
 
-Computes per-net arrival times by levelized traversal and reports the
-critical path and the resulting maximum clock frequency, mirroring what
-the paper reads out of Design Compiler for each core.
+Computes per-net arrival times level by level and reports the critical
+path and the resulting maximum clock frequency, mirroring what the
+paper reads out of Design Compiler for each core.
 
 Printed transistor-resistor logic is extremely asymmetric -- the
 resistive pull-up makes rising edges ~7x slower than falling edges --
@@ -21,24 +21,39 @@ A path endpoint's arrival is the max of its rise and fall times.  The
 clock period is the worst endpoint arrival; ``fmax = 1 / period``.  A
 ``pessimistic`` mode (worst delay on every edge) is kept for ablation.
 
-Each cell's delay is derated through the shared net-load model
-(:mod:`repro.netlist.load`): ``1 + fanout_slope * (fanout - 1)`` in
-the wire-blind default -- printed gates drive large electrolyte gate
-capacitances, so fanout matters -- and, when a placement-derived
-:class:`~repro.netlist.load.RCAnnotation` is supplied via ``rc=``,
-wire capacitance joins the same derate as extra gate-equivalent loads
-while the distributed wire delay (``R*C/2``) adds to every transition
-through the net.  ``rc=None`` is the explicit wire-blind mode and is
-bit-exact with the pre-placement analysis.
+The model has two parts, shared by STA and the Monte-Carlo fleet
+(:mod:`repro.mc.timing`):
+
+* :func:`cell_delays` -- each cell's (rise, fall) delay derated through
+  the shared net-load model (:mod:`repro.netlist.load`):
+  ``1 + fanout_slope * (fanout - 1)`` in the wire-blind default --
+  printed gates drive large electrolyte gate capacitances, so fanout
+  matters -- and, when a placement-derived
+  :class:`~repro.netlist.load.RCAnnotation` is supplied via ``rc=``,
+  wire capacitance joins the same derate as extra gate-equivalent loads
+  while the distributed wire delay (``R*C/2``) adds to every transition
+  through the net.  ``rc=None`` is the explicit wire-blind mode.
+* :func:`propagate` -- one arrival pass over the numpy gather plans
+  (:func:`repro.netlist.nsim.numpy_netlist`).  Arrivals form a
+  ``(2 * rows, columns)`` matrix, rise and fall of net row ``r`` at rows
+  ``2r`` and ``2r + 1``; every column is one printed unit whose per-cell
+  delay factors scale both edges.  The plans sort each level's rows by
+  ufunc group, and the groups are the polarity classes, so a level is
+  one gather of the input edges (the inverting block's gather reads the
+  opposite edge), one max over the two inputs, one max of both edges
+  over the non-monotone block, and one add of the per-row delays.
+
+:func:`timing_report` is the one-column case with every factor 1.0;
+the fleet's nominal delay is therefore STA's critical delay exactly.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from repro.errors import TimingError
-from repro.netlist.core import CONST0, CONST1, Instance, Netlist, SEQUENTIAL_CELLS
+import numpy as np
+
+from repro.netlist.core import Netlist, SEQUENTIAL_CELLS
 from repro.netlist.load import (
     DEFAULT_FANOUT_SLOPE,
     RCAnnotation,
@@ -46,17 +61,22 @@ from repro.netlist.load import (
     fanout_derate,
     net_derate,
 )
+from repro.netlist.nsim import _GROUP, numpy_netlist
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.trace import span as _obs_span
 from repro.pdk.cells import CellLibrary
 
 _STA_REPORTS = _obs_counter("sta.reports")
 
-#: Cells whose output transition is caused by the opposite input edge.
-INVERTING_CELLS = frozenset({"INVX1", "NAND2X1", "NOR2X1"})
+#: Cells whose output transition is caused by the opposite input edge
+#: (ufunc groups 1-2 of the numpy plans: NAND/INV, NOR).
+INVERTING_CELLS = frozenset(cell for cell, g in _GROUP.items() if g in (1, 2))
 
-#: Cells where either input edge can cause either output edge.
-NON_MONOTONE_CELLS = frozenset({"XOR2X1", "XNOR2X1"})
+#: Cells where either input edge can cause either output edge (ufunc
+#: groups 4-5: XOR, XNOR).
+NON_MONOTONE_CELLS = frozenset(cell for cell, g in _GROUP.items() if g in (4, 5))
+
+_EDGES = np.array([0, 1], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -76,82 +96,164 @@ class TimingReport:
     levels: int
 
 
-# Shared with power: one sink count, one load model.
-_fanout_counts = fanout_counts
+@dataclass(frozen=True)
+class ArrivalPlan:
+    """The numpy gather plans of one netlist, re-indexed by edge row.
 
+    Edge row ``2r`` is the rise arrival of net row ``r`` of the numpy
+    layout and ``2r + 1`` its fall arrival.
 
-def _topological_order(netlist: Netlist) -> list[Instance]:
-    """Topologically sort combinational instances.
-
-    Sequential outputs, ports, and constants are sources.  A cycle
-    through combinational cells raises :class:`TimingError`.
+    Attributes:
+        edge_rows: Arrival-matrix row count (``2 * nets``).
+        cell_edges: Edge rows of every instance output, instance order,
+            rise then fall -- where :meth:`edge_delays` scatters
+            :func:`cell_delays`.
+        cell_of_edge: Instance driving each edge row, -1 for ports,
+            constants and unused nets.
+        levels: Per logic level ``(lo, hi, sources, both)``: its edge
+            rows; the ``2 * (hi - lo)`` input edge rows it gathers
+            (every output edge's first input, then its second input);
+            the slice of the non-monotone block (or ``None``).
+        widest: Most edge rows in one level.
+        flop_edges: Edge rows of every sequential output.
+        endpoint_edges: Rise and fall rows of each path endpoint: flop
+            inputs in instance order, then the output buses.
+        row_of: Net id -> net row.
     """
-    combinational = [i for i in netlist.instances if i.cell not in SEQUENTIAL_CELLS]
-    consumers: dict[int, list[Instance]] = defaultdict(list)
-    pending: dict[int, int] = {}
-    sources = {CONST0, CONST1}
-    for bus in netlist.inputs.values():
-        sources.update(bus.nets)
+
+    edge_rows: int
+    cell_edges: np.ndarray
+    cell_of_edge: np.ndarray
+    levels: tuple[tuple[int, int, np.ndarray, slice | None], ...]
+    widest: int
+    flop_edges: np.ndarray
+    endpoint_edges: np.ndarray
+    row_of: dict[int, int]
+
+    def edge_delays(self, delays: np.ndarray) -> np.ndarray:
+        """Spread ``(cells, 2)`` delays onto the plan's edge rows."""
+        out = np.zeros(self.edge_rows, dtype=np.float64)
+        out[self.cell_edges] = delays.ravel()
+        return out
+
+
+def _edge_rows(rows) -> np.ndarray:
+    """Rise and fall edge rows of each net row, interleaved."""
+    return (2 * np.asarray(rows, dtype=np.intp)[:, None] + _EDGES).ravel()
+
+
+def arrival_plan(netlist: Netlist) -> ArrivalPlan:
+    """The :class:`ArrivalPlan` of ``netlist``, memoized on it.
+
+    Raises :class:`~repro.errors.TimingError` on a combinational loop
+    (from the levelizer).
+    """
+    cached = getattr(netlist, "_sta_plan", None)
+    if cached is not None:
+        return cached
+    compiled = numpy_netlist(netlist)
+    row_of = compiled.layout.row_of
+    driver = np.full(compiled.layout.rows, -1, dtype=np.intp)
+    for k, instance in enumerate(netlist.instances):
+        driver[row_of[instance.output]] = k
+    levels = []
+    for level in compiled.levels:
+        n = len(level.gather) // 2
+        cuts = level.cuts
+        sources = 2 * level.gather.reshape(2, n, 1) + _EDGES
+        sources[:, cuts[1] : cuts[3]] ^= 1  # inverting: the opposite edge
+        both = slice(2 * cuts[4], 2 * cuts[6]) if cuts[4] < cuts[6] else None
+        levels.append((2 * level.lo, 2 * (level.lo + n), sources.ravel(), both))
+    flops = [i for i in netlist.instances if i.cell in SEQUENTIAL_CELLS]
+    endpoints = [row_of[net] for flop in flops for net in flop.inputs]
+    for bus in netlist.outputs.values():
+        endpoints.extend(row_of[net] for net in bus)
+    cached = netlist._sta_plan = ArrivalPlan(
+        edge_rows=2 * compiled.layout.rows,
+        cell_edges=_edge_rows([row_of[i.output] for i in netlist.instances]),
+        cell_of_edge=np.repeat(driver, 2),
+        levels=tuple(levels),
+        widest=max((hi - lo for lo, hi, _, _ in levels), default=0),
+        flop_edges=_edge_rows([row_of[flop.output] for flop in flops]),
+        endpoint_edges=_edge_rows(endpoints),
+        row_of=row_of,
+    )
+    return cached
+
+
+def cell_delays(
+    netlist: Netlist,
+    library: CellLibrary,
+    fanout_slope: float = DEFAULT_FANOUT_SLOPE,
+    rc: RCAnnotation | None = None,
+) -> np.ndarray:
+    """Load-derated ``(rise, fall)`` delay per instance, ``(cells, 2)``."""
+    fanouts = fanout_counts(netlist)
+    input_cap = library.input_capacitance
+    delays = []
     for instance in netlist.instances:
-        if instance.cell in SEQUENTIAL_CELLS:
-            sources.add(instance.output)
-    for instance in combinational:
-        needed = 0
-        for net in instance.inputs:
-            if net not in sources:
-                consumers[net].append(instance)
-                needed += 1
-        pending[id(instance)] = needed
-
-    ready = deque(i for i in combinational if pending[id(i)] == 0)
-    ordered: list[Instance] = []
-    while ready:
-        instance = ready.popleft()
-        ordered.append(instance)
-        for consumer in consumers.get(instance.output, ()):
-            pending[id(consumer)] -= 1
-            if pending[id(consumer)] == 0:
-                ready.append(consumer)
-    if len(ordered) != len(combinational):
-        raise TimingError(
-            f"combinational loop: {len(combinational) - len(ordered)} cells unordered"
-        )
-    return ordered
+        cell = library.cell(instance.cell)
+        fanout = fanouts.get(instance.output, 1)
+        if rc is None:
+            derate = fanout_derate(fanout, fanout_slope)
+            delays.append((cell.rise_delay * derate, cell.fall_delay * derate))
+        else:
+            derate = net_derate(
+                fanout, rc.capacitance(instance.output), input_cap, fanout_slope
+            )
+            wire = rc.wire_delay(instance.output)
+            delays.append(
+                (cell.rise_delay * derate + wire, cell.fall_delay * derate + wire)
+            )
+    return np.array(delays, dtype=np.float64).reshape(-1, 2)
 
 
-def topological_order(netlist: Netlist) -> list[Instance]:
-    """Public alias of the combinational topological sort.
+def propagate(
+    plan: ArrivalPlan,
+    delays: np.ndarray,
+    factors: np.ndarray,
+    arrival: np.ndarray,
+) -> np.ndarray:
+    """Run the arrival pass; return each column's critical delay.
 
-    Shared by the polarity-aware STA here, the numpy kernel codegen
-    (:mod:`repro.netlist.nsim`), and the Monte-Carlo variation models
-    (:mod:`repro.pdk.variation`, :mod:`repro.mc.timing`) -- one order,
-    one cycle check.
+    Args:
+        plan: The netlist's :class:`ArrivalPlan`.
+        delays: Per-edge-row delays (:meth:`ArrivalPlan.edge_delays`).
+        factors: ``(cells, columns)`` delay factor per cell and unit;
+            one factor scales both of a cell's edges.
+        arrival: ``(edge_rows, columns)`` matrix.  Port and constant
+            rows are read as the caller left them (zeros, or port wire
+            delays); sequential and logic rows are overwritten.
     """
-    return _topological_order(netlist)
-
-
-@dataclass
-class _Arrival:
-    """Rise/fall arrival pair plus the path reaching the later one."""
-
-    rise: float
-    fall: float
-    rise_path: tuple[str, ...]
-    fall_path: tuple[str, ...]
-
-    @property
-    def worst(self) -> float:
-        return max(self.rise, self.fall)
-
-    @property
-    def worst_path(self) -> tuple[str, ...]:
-        return self.rise_path if self.rise >= self.fall else self.fall_path
+    cell_of_edge = plan.cell_of_edge
+    flops = plan.flop_edges
+    if flops.size:
+        arrival[flops] = factors[cell_of_edge[flops]] * delays[flops, None]
+    columns = arrival.shape[1]
+    gathered = np.empty((2 * plan.widest, columns), dtype=np.float64)
+    scaled = np.empty((plan.widest, columns), dtype=np.float64)
+    for lo, hi, sources, both in plan.levels:
+        n = hi - lo
+        inputs = gathered[: 2 * n]
+        arrival.take(sources, 0, inputs, "clip")
+        latest = inputs[:n]
+        np.maximum(latest, inputs[n:], out=latest)
+        if both is not None:
+            block = latest[both]
+            np.maximum(block[0::2], block[1::2], out=block[0::2])
+            block[1::2] = block[0::2]
+        delay = scaled[:n]
+        factors.take(cell_of_edge[lo:hi], 0, delay, "clip")
+        np.multiply(delay, delays[lo:hi, None], out=delay)
+        np.add(latest, delay, out=arrival[lo:hi])
+    if not plan.endpoint_edges.size:
+        return np.zeros(columns, dtype=np.float64)
+    return arrival.take(plan.endpoint_edges, 0).max(axis=0)
 
 
 def timing_report(
     netlist: Netlist,
     library: CellLibrary,
-    input_arrivals: dict[str, float] | None = None,
     fanout_slope: float = DEFAULT_FANOUT_SLOPE,
     pessimistic: bool = False,
     rc: RCAnnotation | None = None,
@@ -161,24 +263,22 @@ def timing_report(
     Args:
         netlist: The mapped design.
         library: Technology supplying per-cell delays.
-        input_arrivals: Optional arrival time (seconds) per primary
-            input bus name; unlisted buses arrive at 0.
         fanout_slope: Per-extra-load delay derate.
         pessimistic: Use the worst of rise/fall on every edge instead
             of polarity-aware propagation (ablation mode).
         rc: Optional placement-derived wire parasitics
             (:func:`repro.place.rc_annotation`).  ``None`` is the
-            wire-blind estimate, bit-exact with the pre-placement
-            analysis.
+            wire-blind estimate.
 
     Returns:
         A :class:`TimingReport`; ``fmax`` is infinite for a netlist
         with no timed paths (no cells).
+
+    Raises:
+        TimingError: On a combinational loop.
     """
     with _obs_span("sta", design=netlist.name, technology=library.name) as sp:
-        report = _timing_report(
-            netlist, library, input_arrivals, fanout_slope, pessimistic, rc
-        )
+        report = _timing_report(netlist, library, fanout_slope, pessimistic, rc)
         _STA_REPORTS.inc()
         sp.note(fmax=report.fmax, levels=report.levels)
     return report
@@ -187,118 +287,66 @@ def timing_report(
 def _timing_report(
     netlist: Netlist,
     library: CellLibrary,
-    input_arrivals: dict[str, float] | None,
     fanout_slope: float,
     pessimistic: bool,
-    rc: RCAnnotation | None = None,
+    rc: RCAnnotation | None,
 ) -> TimingReport:
-    input_arrivals = input_arrivals or {}
-    fanouts = _fanout_counts(netlist)
-    input_cap = library.input_capacitance
-
-    def delays(instance: Instance) -> tuple[float, float]:
-        cell = library.cell(instance.cell)
-        fanout = fanouts.get(instance.output, 1)
-        if rc is None:
-            derate = fanout_derate(fanout, fanout_slope)
-            rise = cell.rise_delay * derate
-            fall = cell.fall_delay * derate
-        else:
-            derate = net_derate(
-                fanout, rc.capacitance(instance.output), input_cap, fanout_slope
-            )
-            wire = rc.wire_delay(instance.output)
-            rise = cell.rise_delay * derate + wire
-            fall = cell.fall_delay * derate + wire
-        if pessimistic:
-            worst = max(rise, fall)
-            return worst, worst
-        return rise, fall
-
-    arrival: dict[int, _Arrival] = {
-        CONST0: _Arrival(0.0, 0.0, (), ()),
-        CONST1: _Arrival(0.0, 0.0, (), ()),
-    }
-    for name, bus in netlist.inputs.items():
-        start = input_arrivals.get(name, 0.0)
-        for net in bus:
-            # Port-driven nets have no driving cell to derate; their
-            # routed trace still delays every sink.
-            at = start if rc is None else start + rc.wire_delay(net)
-            arrival[net] = _Arrival(at, at, (), ())
-
-    # Sequential outputs launch at clock-to-Q.
-    for instance in netlist.instances:
-        if instance.cell in SEQUENTIAL_CELLS:
-            rise, fall = delays(instance)
-            arrival[instance.output] = _Arrival(
-                rise, fall, (instance.cell,), (instance.cell,)
-            )
-
-    zero = _Arrival(0.0, 0.0, (), ())
-    for instance in _topological_order(netlist):
-        rise_delay, fall_delay = delays(instance)
-        ins = [arrival.get(net, zero) for net in instance.inputs]
-
-        def latest(getter, path_getter):
-            best_time, best_path = 0.0, ()
-            for entry in ins:
-                time = getter(entry)
-                if time >= best_time:
-                    best_time, best_path = time, path_getter(entry)
-            return best_time, best_path
-
-        if instance.cell in NON_MONOTONE_CELLS or pessimistic:
-            in_time, in_path = latest(lambda e: e.worst, lambda e: e.worst_path)
-            out = _Arrival(
-                in_time + rise_delay,
-                in_time + fall_delay,
-                in_path + (instance.cell,),
-                in_path + (instance.cell,),
-            )
-        elif instance.cell in INVERTING_CELLS:
-            fall_in, fall_in_path = latest(lambda e: e.fall, lambda e: e.fall_path)
-            rise_in, rise_in_path = latest(lambda e: e.rise, lambda e: e.rise_path)
-            out = _Arrival(
-                fall_in + rise_delay,
-                rise_in + fall_delay,
-                fall_in_path + (instance.cell,),
-                rise_in_path + (instance.cell,),
-            )
-        else:  # non-inverting
-            rise_in, rise_in_path = latest(lambda e: e.rise, lambda e: e.rise_path)
-            fall_in, fall_in_path = latest(lambda e: e.fall, lambda e: e.fall_path)
-            out = _Arrival(
-                rise_in + rise_delay,
-                fall_in + fall_delay,
-                rise_in_path + (instance.cell,),
-                fall_in_path + (instance.cell,),
-            )
-        arrival[instance.output] = out
-
-    # Path endpoints: D pins of sequential cells and primary outputs.
-    worst_delay = 0.0
-    worst_path: tuple[str, ...] = ()
-
-    def consider(net: int) -> None:
-        nonlocal worst_delay, worst_path
-        entry = arrival.get(net)
-        if entry is not None and entry.worst > worst_delay:
-            worst_delay = entry.worst
-            worst_path = entry.worst_path
-
-    for instance in netlist.instances:
-        if instance.cell in SEQUENTIAL_CELLS:
-            for net in instance.inputs:
-                consider(net)
-    for bus in netlist.outputs.values():
-        for net in bus:
-            consider(net)
-
-    fmax = 1.0 / worst_delay if worst_delay > 0 else float("inf")
+    plan = arrival_plan(netlist)
+    delays = cell_delays(netlist, library, fanout_slope, rc)
+    if pessimistic:
+        delays[:] = delays.max(axis=1, keepdims=True)
+    arrival = np.zeros((plan.edge_rows, 1), dtype=np.float64)
+    if rc is not None:
+        # Port-driven nets have no driving cell to derate; their routed
+        # trace still delays every sink.
+        ports = [net for bus in netlist.inputs.values() for net in bus]
+        arrival[_edge_rows([plan.row_of[net] for net in ports]), 0] = np.repeat(
+            [rc.wire_delay(net) for net in ports], 2
+        )
+    factors = np.ones((len(netlist.instances), 1), dtype=np.float64)
+    worst = float(propagate(plan, plan.edge_delays(delays), factors, arrival)[0])
+    path = _critical_path(netlist, plan, arrival[:, 0].tolist(), worst)
     return TimingReport(
-        critical_path_delay=worst_delay,
-        fmax=fmax,
-        critical_path=worst_path,
-        levels=len(worst_path),
+        critical_path_delay=worst,
+        fmax=1.0 / worst if worst > 0 else float("inf"),
+        critical_path=path,
+        levels=len(path),
     )
+
+
+def _critical_path(
+    netlist: Netlist, plan: ArrivalPlan, arrival: list[float], worst: float
+) -> tuple[str, ...]:
+    """Walk back from the first endpoint holding the worst arrival.
+
+    Each step re-decides which input set the arrival, the last input
+    winning a tie, along the edge its polarity class reads.
+    """
+    if worst <= 0:
+        return ()
+
+    def peak(row: int) -> float:
+        return max(arrival[2 * row], arrival[2 * row + 1])
+
+    ends = (plan.endpoint_edges[0::2] // 2).tolist()
+    row = next(r for r in ends if peak(r) == worst)
+    edge = 0 if arrival[2 * row] >= arrival[2 * row + 1] else 1
+    driver = plan.cell_of_edge
+    path: list[str] = []
+    while driver[2 * row] >= 0:
+        instance = netlist.instances[driver[2 * row]]
+        path.append(instance.cell)
+        if instance.cell in SEQUENTIAL_CELLS:
+            break
+        rows = [plan.row_of[net] for net in instance.inputs]
+        if instance.cell in NON_MONOTONE_CELLS:
+            times = [peak(r) for r in rows]
+        else:
+            if instance.cell in INVERTING_CELLS:
+                edge ^= 1
+            times = [arrival[2 * r + edge] for r in rows]
+        row = rows[len(times) - 1 - times[::-1].index(max(times))]
+        if instance.cell in NON_MONOTONE_CELLS:
+            edge = 0 if arrival[2 * row] >= arrival[2 * row + 1] else 1
+    path.reverse()
+    return tuple(path)

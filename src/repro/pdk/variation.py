@@ -7,7 +7,8 @@ microprocessors, both quantified here:
 
 * **Timing spread** -- Monte-Carlo STA with lognormal per-instance
   delay multipliers gives the fmax distribution and a yield-aware
-  clock (the frequency met by e.g. 95% of printed units).
+  clock (the frequency met by e.g. 95% of printed units; the fleet
+  quantiles of :class:`~repro.mc.engine.YieldReport`).
 * **Functional yield** -- with per-device yield ``y`` a design of
   ``n`` printed devices works with probability ``y^n``; printed
   microprocessors must therefore be *small*, reinforcing the paper's
@@ -27,39 +28,16 @@ indices, and ``tests/mc/test_timing.py`` asserts it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import PDKError
-from repro.netlist.core import CONST0, CONST1, Netlist, SEQUENTIAL_CELLS
-from repro.netlist.sta import _topological_order
+from repro.netlist.core import Netlist, SEQUENTIAL_CELLS
+from repro.netlist.nsim import topological_order
+from repro.netlist.sta import INVERTING_CELLS, NON_MONOTONE_CELLS, cell_delays
 from repro.pdk.cells import CellLibrary
 
 #: Measured EGFET per-device yield range (Section 3.1).
 EGFET_DEVICE_YIELD_RANGE = (0.90, 0.99)
-
-
-@dataclass(frozen=True)
-class TimingDistribution:
-    """Monte-Carlo fmax statistics for one netlist."""
-
-    samples: tuple[float, ...]  # critical-path delays, seconds
-
-    @property
-    def nominal_fmax(self) -> float:
-        return 1.0 / min(self.samples)
-
-    @property
-    def mean_delay(self) -> float:
-        return sum(self.samples) / len(self.samples)
-
-    def yield_fmax(self, coverage: float = 0.95) -> float:
-        """The clock frequency met by ``coverage`` of printed units."""
-        ordered = sorted(self.samples)
-        index = min(len(ordered) - 1, int(math.ceil(coverage * len(ordered))) - 1)
-        return 1.0 / ordered[index]
 
 
 def monte_carlo_timing(
@@ -68,13 +46,14 @@ def monte_carlo_timing(
     sigma: float = 0.2,
     trials: int = 64,
     seed: int = 0xBEEF,
-) -> TimingDistribution:
-    """Sample the critical-path delay under per-instance variation.
+) -> tuple[float, ...]:
+    """Sample the critical-path delay (seconds) of ``trials`` units.
 
-    Each cell instance's delay is scaled by an independent lognormal
-    factor ``exp(sigma * N(0,1))`` per trial; propagation uses the
-    worst-edge delay for speed (the spread, not the absolute value, is
-    the quantity of interest).
+    Each cell instance's derated rise and fall delays
+    (:func:`repro.netlist.sta.cell_delays`) are scaled by one
+    independent lognormal factor ``exp(sigma * N(0,1))`` per trial and
+    propagated polarity-aware, as STA does, so ``sigma=0`` gives STA's
+    critical delay in every trial.
 
     This is the **scalar reference path** of the Monte-Carlo engine:
     trial ``t`` draws from each cell substream at index ``t`` (the
@@ -82,18 +61,24 @@ def monte_carlo_timing(
     trial ``t``'s factors are a pure function of ``(seed, cell, t)``
     -- independent of the trial count and of any shard boundary -- and
     ``repro.mc.timing.sample_delays(netlist, library, sigma, 0,
-    trials, seed)`` returns exactly ``self.samples``.  The float
-    transform deliberately routes through numpy scalar ufuncs (not
-    ``math.*``) so scalar and vectorized samples are bit-identical.
+    trials, seed)`` returns exactly these samples.  The walk is a
+    plain per-instance loop in topological order, independent of the
+    vectorized arrival pass it checks; the float transform routes
+    through numpy scalar ufuncs (not ``math.*``) so scalar and
+    vectorized samples are bit-identical.
     """
     if sigma < 0:
         raise PDKError("sigma must be non-negative")
     from repro.mc.sampling import SubstreamSampler
     from repro.mc.timing import TIMING_DOMAIN
 
-    order = _topological_order(netlist)
-    base_delay = [library.cell(i.cell).worst_delay for i in netlist.instances]
+    order = topological_order(netlist)
+    delays = cell_delays(netlist, library).tolist()
     index_of = {id(instance): k for k, instance in enumerate(netlist.instances)}
+    flops = [i for i in netlist.instances if i.cell in SEQUENTIAL_CELLS]
+    endpoints = [net for flop in flops for net in flop.inputs]
+    for bus in netlist.outputs.values():
+        endpoints.extend(bus)
     sampler = SubstreamSampler(seed, len(netlist.instances), TIMING_DOMAIN)
     sigma64 = np.float64(sigma)
 
@@ -103,28 +88,29 @@ def monte_carlo_timing(
             float(np.exp(sigma64 * sampler.normal(k, trial)))
             for k in range(len(netlist.instances))
         ]
-        arrival: dict[int, float] = {CONST0: 0.0, CONST1: 0.0}
-        for bus in netlist.inputs.values():
-            for net in bus:
-                arrival[net] = 0.0
-        for instance in netlist.instances:
-            if instance.cell in SEQUENTIAL_CELLS:
-                k = index_of[id(instance)]
-                arrival[instance.output] = base_delay[k] * factors[k]
-        worst = 0.0
+        arrival: dict[int, tuple[float, float]] = {}
+        for flop in flops:
+            k = index_of[id(flop)]
+            rise, fall = delays[k]
+            arrival[flop.output] = (rise * factors[k], fall * factors[k])
         for instance in order:
             k = index_of[id(instance)]
-            in_time = max((arrival.get(net, 0.0) for net in instance.inputs), default=0.0)
-            arrival[instance.output] = in_time + base_delay[k] * factors[k]
-        for instance in netlist.instances:
-            if instance.cell in SEQUENTIAL_CELLS:
-                for net in instance.inputs:
-                    worst = max(worst, arrival.get(net, 0.0))
-        for bus in netlist.outputs.values():
-            for net in bus:
-                worst = max(worst, arrival.get(net, 0.0))
-        samples.append(worst)
-    return TimingDistribution(samples=tuple(samples))
+            ins = [arrival.get(net, (0.0, 0.0)) for net in instance.inputs]
+            rise_in = max(rise for rise, _ in ins)
+            fall_in = max(fall for _, fall in ins)
+            if instance.cell in NON_MONOTONE_CELLS:
+                rise_in = fall_in = max(rise_in, fall_in)
+            elif instance.cell in INVERTING_CELLS:
+                rise_in, fall_in = fall_in, rise_in
+            rise, fall = delays[k]
+            arrival[instance.output] = (
+                rise_in + rise * factors[k],
+                fall_in + fall * factors[k],
+            )
+        samples.append(
+            max((max(arrival.get(net, (0.0, 0.0))) for net in endpoints), default=0.0)
+        )
+    return tuple(samples)
 
 
 def functional_yield(device_count: int, device_yield: float) -> float:

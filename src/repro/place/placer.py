@@ -34,7 +34,7 @@ from repro import obs
 from repro.errors import PlacementError
 from repro.netlist.core import CONST0, CONST1, Netlist
 from repro.netlist.load import RCAnnotation, WireRC
-from repro.netlist.sta import topological_order
+from repro.netlist.nsim import topological_order
 from repro.pdk.cells import CellLibrary
 from repro.place.fabric import Fabric, fit_report, slot_kind_for_cell
 

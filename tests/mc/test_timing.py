@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.coregen.config import CoreConfig
+from repro.coregen.config import CoreConfig, standard_sweep
 from repro.coregen.generator import generate_core
 from repro.errors import PDKError
 from repro.mc.timing import nominal_delay, sample_delays, timing_kernel
+from repro.netlist.sta import timing_report
 from repro.pdk import technology_library
 from repro.pdk.variation import monte_carlo_timing
 
@@ -26,11 +27,11 @@ def test_vectorized_matches_scalar_reference(config, technology):
     netlist = generate_core(config)
     library = technology_library(technology)
     trials = 12
-    dist = monte_carlo_timing(
+    samples = monte_carlo_timing(
         netlist, library, sigma=0.2, trials=trials, seed=0xBEEF
     )
     vec = sample_delays(netlist, library, 0.2, 0, trials, 0xBEEF)
-    assert np.array_equal(np.array(dist.samples), vec)
+    assert np.array_equal(np.array(samples), vec)
 
 
 def test_blocked_kernel_matches_one_block_calls():
@@ -40,8 +41,8 @@ def test_blocked_kernel_matches_one_block_calls():
     fleet = sample_delays(netlist, library, 0.2, 0, 2048, seed=0xBEEF)
     small = sample_delays(netlist, library, 0.2, 0, 2048, seed=0xBEEF, block=7)
     assert np.array_equal(fleet, small)
-    dist = monte_carlo_timing(netlist, library, sigma=0.2, trials=12, seed=0xBEEF)
-    assert np.array_equal(fleet[:12], np.array(dist.samples))
+    samples = monte_carlo_timing(netlist, library, sigma=0.2, trials=12, seed=0xBEEF)
+    assert np.array_equal(fleet[:12], np.array(samples))
 
 
 def test_sub_range_is_bit_exact():
@@ -69,6 +70,18 @@ def test_nominal_matches_sigma_zero():
     assert nominal > 0
     zeros = sample_delays(netlist, library, 0.0, 0, 4, seed=1)
     assert np.array_equal(zeros, np.full(4, nominal))
+
+
+@pytest.mark.parametrize("config", standard_sweep(), ids=lambda c: c.name)
+@pytest.mark.parametrize("technology", TECHNOLOGIES)
+def test_nominal_delay_is_sta_delay(config, technology):
+    """One timing model: the fleet at sigma 0 is STA, bit for bit."""
+    netlist = generate_core(config)
+    library = technology_library(technology)
+    assert (
+        nominal_delay(netlist, library)
+        == timing_report(netlist, library).critical_path_delay
+    )
 
 
 def test_kernel_memoized_per_library():

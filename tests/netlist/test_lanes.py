@@ -12,13 +12,12 @@ from repro.coregen.config import CoreConfig, standard_sweep
 from repro.coregen.generator import generate_core
 from repro.errors import SimulationError
 from repro.netlist.compile import BitParallelSimulator
-from repro.netlist.core import Netlist
+from repro.netlist.core import Netlist, SEQUENTIAL_CELLS
 from repro.netlist.faults import StuckAtFault
 from repro.netlist.lanes import LanePlan
 from repro.netlist.nsim import (
     NumpySimulator,
     compile_numpy_netlist,
-    levelized_layout,
 )
 
 #: Ufunc row groups inside a level, in row order: AND, NAND (INV runs
@@ -153,19 +152,27 @@ class TestNumpySimulatorSurfaces:
 
 @pytest.mark.parametrize("config", standard_sweep(), ids=lambda c: c.name)
 def test_levels_are_row_blocks_in_ufunc_group_order(config):
-    """The layout contract mc.timing and the numpy settle rely on: a
-    level's instances sit on rows lo..hi in list order, and each ufunc
-    group is one contiguous run that the plan's cuts delimit."""
+    """The layout contract STA and the numpy settle rely on: every
+    combinational instance owns one row of one level's block lo..hi,
+    reads only rows below lo, and each ufunc group is one contiguous
+    run that the plan's cuts delimit."""
     netlist = generate_core(config)
-    layout, levels = levelized_layout(netlist)
-    plans = compile_numpy_netlist(netlist).levels
+    compiled = compile_numpy_netlist(netlist)
+    layout = compiled.layout
+    driver = {layout.row_of[i.output]: i for i in netlist.instances}
     group_of = {cell: g for g, cells in enumerate(GROUP_ORDER) for cell in cells}
-    assert len(levels) == len(layout.level_slices) == len(plans)
-    for (lo, hi), instances, plan in zip(layout.level_slices, levels, plans):
-        assert [layout.row_of[i.output] for i in instances] == list(range(lo, hi))
+    assert len(layout.level_slices) == len(compiled.levels)
+    placed = 0
+    for (lo, hi), plan in zip(layout.level_slices, compiled.levels):
+        instances = [driver[row] for row in range(lo, hi)]
+        placed += len(instances)
+        assert all(
+            layout.row_of[net] < lo for i in instances for net in i.inputs
+        )
         groups = [group_of[i.cell] for i in instances]
         cuts = plan.cuts
         assert (plan.lo, cuts[0]) == (lo, 0)
         assert groups == [
             g for g in range(len(GROUP_ORDER)) for _ in range(cuts[g], cuts[g + 1])
         ]
+    assert placed == sum(i.cell not in SEQUENTIAL_CELLS for i in netlist.instances)

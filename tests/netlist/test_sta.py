@@ -1,11 +1,13 @@
 """Tests for static timing analysis."""
 
+from itertools import product
+
 import pytest
 
 from repro.errors import TimingError
 from repro.netlist.components import ripple_adder
-from repro.netlist.core import Netlist
-from repro.netlist.sta import timing_report
+from repro.netlist.core import CELL_FUNCTIONS, Netlist
+from repro.netlist.sta import INVERTING_CELLS, NON_MONOTONE_CELLS, timing_report
 from repro.pdk import cnt_tft_library, egfet_library
 
 
@@ -104,15 +106,6 @@ class TestSequentialPaths:
         piped = timing_report(n, library, fanout_slope=0.0)
         assert piped.fmax < 2 * flat.fmax
 
-    def test_input_arrival_extends_path(self):
-        library = egfet_library()
-        base = timing_report(inverter_chain(2), library, fanout_slope=0.0)
-        late = timing_report(
-            inverter_chain(2), library,
-            input_arrivals={"a": 1.0}, fanout_slope=0.0,
-        )
-        assert late.critical_path_delay == pytest.approx(base.critical_path_delay + 1.0)
-
 
 class TestRobustness:
     def test_combinational_loop_detected(self):
@@ -141,3 +134,34 @@ class TestRobustness:
         flat = timing_report(n, library, fanout_slope=0.0)
         derated = timing_report(n, library, fanout_slope=0.1)
         assert derated.critical_path_delay > flat.critical_path_delay
+
+
+def _unateness(function, arity: int, pin: int) -> set[str]:
+    """How raising input ``pin`` can move the output: "rise"/"fall"."""
+    moves = set()
+    for others in product((0, 1), repeat=arity - 1):
+        low = list(others[:pin]) + [0] + list(others[pin:])
+        high = list(others[:pin]) + [1] + list(others[pin:])
+        before, after = function(*low), function(*high)
+        if after > before:
+            moves.add("rise")
+        elif after < before:
+            moves.add("fall")
+    return moves
+
+
+@pytest.mark.parametrize("cell", sorted(CELL_FUNCTIONS))
+def test_polarity_class_matches_truth_table(cell):
+    """The classes come from the numpy plans' ufunc groups; check each
+    against its truth table: an inverting cell's output only ever falls
+    when an input rises, a non-monotone cell's can move either way, and
+    every other cell follows its inputs."""
+    function = CELL_FUNCTIONS[cell]
+    arity = function.__code__.co_argcount
+    moves = set().union(*(_unateness(function, arity, pin) for pin in range(arity)))
+    if cell in NON_MONOTONE_CELLS:
+        assert moves == {"rise", "fall"}
+    elif cell in INVERTING_CELLS:
+        assert moves == {"fall"}
+    else:
+        assert moves == {"rise"}
