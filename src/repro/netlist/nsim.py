@@ -159,9 +159,9 @@ def topological_order(netlist: Netlist) -> list[Instance]:
 
     Sequential outputs, ports, and constants are sources.  A cycle
     through combinational cells raises :class:`TimingError`.  The one
-    order every netlist walk uses: the levelizer below, STA, the
-    interpreted and compiled simulators, probes, the variation oracle
-    and the placer.
+    order every netlist walk uses: the levelizer below (and through it
+    STA), the interpreted and compiled simulators, probes, the
+    variation oracle and the placer.
     """
     combinational = [i for i in netlist.instances if i.cell not in SEQUENTIAL_CELLS]
     consumers: dict[int, list[Instance]] = defaultdict(list)

@@ -8,6 +8,7 @@ from repro.errors import TimingError
 from repro.netlist.components import ripple_adder
 from repro.netlist.core import CELL_FUNCTIONS, Netlist
 from repro.netlist.sta import INVERTING_CELLS, NON_MONOTONE_CELLS, timing_report
+from repro.netlist.stats import CELL_ARITY
 from repro.pdk import cnt_tft_library, egfet_library
 
 
@@ -156,8 +157,7 @@ def test_polarity_class_matches_truth_table(cell):
     against its truth table: an inverting cell's output only ever falls
     when an input rises, a non-monotone cell's can move either way, and
     every other cell follows its inputs."""
-    function = CELL_FUNCTIONS[cell]
-    arity = function.__code__.co_argcount
+    function, arity = CELL_FUNCTIONS[cell], CELL_ARITY[cell]
     moves = set().union(*(_unateness(function, arity, pin) for pin in range(arity)))
     if cell in NON_MONOTONE_CELLS:
         assert moves == {"rise", "fall"}
