@@ -15,11 +15,15 @@ the results themselves at default inputs:
   12 significant digits (annealing goes through libm ``exp``);
 * ``yield``: one 2048-unit p1_8_2 campaign per technology, integers
   exact and floats at 12 significant digits (sampling goes through
-  numpy ``log``/``cos``/``exp``).
+  numpy ``log``/``cos``/``exp``);
+* ``campaigns``: a full-stride numpy fault campaign of mult8 on p1_8_2
+  and p3_8_2 -- total, detected and a SHA-256 of the undetected sites;
+* ``toggles``: a SHA-256 of ``toggle_counts()`` after crc8 runs to halt
+  on those two cores, interpreted and compiled.
 
 A change that alters a pinned result re-records the computed sections
 on purpose (``PYTHONPATH=src python -m tests.test_result_pins designs
-placement yield``) and says which entries moved.
+placement yield campaigns toggles``) and says which entries moved.
 """
 
 import hashlib
@@ -32,13 +36,17 @@ import pytest
 
 from repro import obs
 from repro.__main__ import main
+from repro.apps.profile import _run_to_halt
 from repro.coregen.config import config_from_name, standard_sweep
+from repro.coregen.cosim import CoSimHarness
+from repro.coregen.fault_test import run_fault_campaign
 from repro.coregen.generator import generate_core
 from repro.dse.sweep import DesignPoint, evaluate_design
 from repro.mc import YieldSpec, run_yield_campaign
 from repro.netlist.sta import timing_report
 from repro.pdk import technology_library
 from repro.place import named_fabric, place, rc_annotation
+from repro.programs import build_benchmark
 
 PINS_PATH = Path(__file__).parent / "data" / "result_pins.json"
 PINS = json.loads(PINS_PATH.read_text())
@@ -144,7 +152,39 @@ def yield_pin(technology: str) -> dict:
     return _digits(view)
 
 
+def campaign_pin(config_name: str) -> dict:
+    """A full-stride numpy fault campaign of mult8 on one core."""
+    campaign = run_fault_campaign(
+        build_benchmark("mult", 8, 8), config_from_name(config_name),
+        stride=1, backend="numpy", jobs=1,
+    )
+    sites = [[f.instance_index, f.stuck_value] for f in campaign.undetected_sites]
+    return {
+        "total": campaign.total,
+        "detected": campaign.detected,
+        "undetected_sites": _sha256(json.dumps(sites).encode()),
+    }
+
+
+def toggle_pin(name: str) -> str:
+    """Toggle counts after crc8 runs to halt, ``<config>@<backend>``."""
+    config_name, backend = name.split("@")
+    harness = CoSimHarness(
+        build_benchmark("crc8", 8, 8), config_from_name(config_name),
+        backend=backend,
+    )
+    _run_to_halt(harness, 200_000)
+    counts = sorted(harness.sim.toggle_counts().items())
+    return _sha256(json.dumps(counts).encode())
+
+
 DESIGNS = [f"{c.name}@{t}" for c in standard_sweep() for t in TECHNOLOGIES]
+CAMPAIGN_CORES = ("p1_8_2", "p3_8_2")
+TOGGLE_RUNS = [
+    f"{core}@{backend}"
+    for core in CAMPAIGN_CORES
+    for backend in ("interpreted", "compiled")
+]
 
 
 @pytest.mark.parametrize("name", DESIGNS)
@@ -165,6 +205,16 @@ def test_yield_campaign_matches_pin(technology):
     )
 
 
+@pytest.mark.parametrize("config_name", CAMPAIGN_CORES)
+def test_fault_campaign_matches_pin(config_name):
+    assert campaign_pin(config_name) == PINS["campaigns"][config_name]
+
+
+@pytest.mark.parametrize("name", TOGGLE_RUNS)
+def test_toggle_counts_match_pin(name):
+    assert toggle_pin(name) == PINS["toggles"][name]
+
+
 def _record(sections: list[str]) -> None:
     """Re-record the named computed sections of the pin file."""
     import platform
@@ -175,6 +225,8 @@ def _record(sections: list[str]) -> None:
         "designs": lambda: {name: design_pin(name) for name in DESIGNS},
         "placement": placement_pin,
         "yield": lambda: {t: yield_pin(t) for t in TECHNOLOGIES},
+        "campaigns": lambda: {c: campaign_pin(c) for c in CAMPAIGN_CORES},
+        "toggles": lambda: {run: toggle_pin(run) for run in TOGGLE_RUNS},
     }
     pins = json.loads(PINS_PATH.read_text())
     for section in sections:
@@ -189,4 +241,6 @@ def _record(sections: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    _record(sys.argv[1:] or ["designs", "placement", "yield"])
+    _record(
+        sys.argv[1:] or ["designs", "placement", "yield", "campaigns", "toggles"]
+    )
