@@ -40,7 +40,7 @@ from pathlib import Path
 
 from repro import cli
 from repro.coregen.config import CoreConfig, config_from_name
-from repro.coregen.cosim import CoSimHarness
+from repro.coregen.cosim import CoSimHarness, run_to_halt
 from repro.errors import ConfigError, ProgramError, SimulationError
 from repro.netlist.sim import BACKENDS
 from repro.obs.metrics import counter as _obs_counter
@@ -110,41 +110,6 @@ def _benchmark_for(name: str, config: CoreConfig):
     return build_benchmark(
         name, kernel_width, config.datawidth, num_bars=config.num_bars
     )
-
-
-def _run_to_halt(harness: CoSimHarness, max_cycles: int) -> None:
-    """Step ``harness`` until its program halts (mirrors cosim).
-
-    Single-stage cores step exactly as many cycles as the reference
-    ISS executes instructions; multi-stage cores run until the PC
-    parks in the HALT self-loop and memory writes go quiet.
-    """
-    from repro.sim.machine import Machine
-
-    config = harness.config
-    machine = Machine(
-        harness.program,
-        mem_size=config.data_memory_words(),
-        num_bars=config.num_bars,
-    )
-    result = machine.run(max_steps=max_cycles)
-    if not result.halted:
-        raise SimulationError(f"{harness.program.name}: ISS did not halt")
-    if config.pipeline_stages == 1:
-        for _ in range(machine.stats.instructions):
-            harness.step()
-        return
-    halt_pc = machine.pc & ((1 << max(1, config.pc_bits)) - 1)
-    quiet = 0
-    halt_sightings = 0
-    for _ in range(max_cycles):
-        harness.step()
-        quiet = 0 if harness.wrote_last_cycle else quiet + 1
-        if harness.pc == halt_pc:
-            halt_sightings += 1
-        if quiet >= 12 and halt_sightings >= 4:
-            return
-    raise SimulationError(f"{harness.program.name}: pipeline never quiesced")
 
 
 def profile_design(
@@ -219,7 +184,7 @@ def profile_design(
         if wave is not None:
             harness.sim.attach_probe(wave)
         harness.sim.attach_probe(profiler)
-        _run_to_halt(harness, max_cycles)
+        run_to_halt(harness, max_cycles)
 
         cycles = harness.sim.cycles
         report = attributed_power_report(

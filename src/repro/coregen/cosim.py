@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.isa.program import Program
 from repro.isa.spec import Flag, Instruction, Mnemonic
+from repro.netlist.lanes import clock_schedule
 from repro.netlist.sim import CycleSimulator
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.trace import span as _obs_span
@@ -89,8 +90,9 @@ class CoSimHarness:
         config: Core configuration; defaults to a standard single-stage
             core matching the program's datawidth and BAR count.
         backend: Gate-level simulation backend; the compiled backend is
-            the default (bit-exact with the interpreter, an order of
-            magnitude faster -- see ``docs/MODELS.md``).
+            the default (bit-exact with the interpreter and about 6-7x
+            faster per cycle once its code exists -- see
+            ``docs/MODELS.md``).
         fault: Optional stuck-at fault injected into the gate-level
             side only (the differential fuzzer uses this to prove it
             detects real netlist defects -- see ``docs/VERIFY.md``).
@@ -112,6 +114,7 @@ class CoSimHarness:
         self.program = program
         self.config = config
         self.netlist = generate_core(config)
+        self._schedule = clock_schedule(self.netlist)
         if fault is not None:
             from repro.netlist.faults import FaultySimulator
 
@@ -141,27 +144,15 @@ class CoSimHarness:
             Instruction(Mnemonic.BRN, target=pc, mask=0), self.config
         )
 
-    def _provide(self, sim: CycleSimulator) -> None:
-        pc = sim.read_output("pc")
-        word = self.rom[pc] if pc < len(self.rom) else self._halt_word(pc)
-        sim.set_input("instr", word)
-        addr_a = sim.read_output("addr_a")
-        addr_b = sim.read_output("addr_b")
-        sim.set_input("rdata_a", self.memory[addr_a])
-        sim.set_input("rdata_b", self.memory[addr_b])
+    def _fetch(self, pc: int) -> int:
+        return self.rom[pc] if pc < len(self.rom) else self._halt_word(pc)
 
     def step(self) -> None:
-        """Run one full clock cycle (fetch/execute/writeback)."""
+        """Run one clock cycle (:class:`~repro.netlist.lanes.ClockSchedule`)."""
         sim = self.sim
-        sim.settle()
-        self._provide(sim)
-        sim.settle()
-        self._provide(sim)
-        sim.settle()
-        we = sim.read_output("we")
-        waddr = sim.read_output("waddr")
-        wdata = sim.read_output("wdata")
-        sim.tick()
+        we, waddr, wdata = self._schedule.clock(
+            sim, sim.read_output, self._fetch, self.memory.__getitem__
+        )
         if we:
             self.memory[waddr] = wdata
         self.cycle += 1
@@ -171,7 +162,7 @@ class CoSimHarness:
 
     @property
     def pc(self) -> int:
-        self.sim.settle()
+        """Current PC: flop outputs (the clock schedule checks), so no settle."""
         return self.sim.read_output("pc")
 
     def flag(self, flag: Flag) -> int:
@@ -219,6 +210,44 @@ def cosim_verify(
     return mismatches
 
 
+def run_to_halt(harness: CoSimHarness, max_cycles: int = 200_000) -> Machine:
+    """Run the ISS reference, then step ``harness`` until its program halts.
+
+    Single-stage cores step exactly as many cycles as the ISS executes
+    instructions.  A multi-stage core parked in the HALT self-loop
+    keeps re-fetching (its PC oscillates around the halt address), so
+    it runs until memory writes go quiet and the PC has passed through
+    the halt address repeatedly -- which also exercises the stall and
+    flush control.
+
+    Returns:
+        The halted reference :class:`~repro.sim.machine.Machine`.
+    """
+    config = harness.config
+    machine = Machine(
+        harness.program,
+        mem_size=config.data_memory_words(),
+        num_bars=config.num_bars,
+    )
+    if not machine.run(max_steps=max_cycles).halted:
+        raise SimulationError(f"{harness.program.name}: ISS did not halt")
+    if config.pipeline_stages == 1:
+        for _ in range(machine.stats.instructions):
+            harness.step()
+        return machine
+    halt_pc = machine.pc & ((1 << max(1, config.pc_bits)) - 1)
+    quiet = 0
+    halt_sightings = 0
+    for _ in range(max_cycles):
+        harness.step()
+        quiet = 0 if harness.wrote_last_cycle else quiet + 1
+        if harness.pc == halt_pc:
+            halt_sightings += 1
+        if quiet >= 12 and halt_sightings >= 4:
+            return machine
+    raise SimulationError(f"{harness.program.name}: pipeline never quiesced")
+
+
 def _cosim_verify(
     program: Program,
     config: CoreConfig | None,
@@ -226,40 +255,9 @@ def _cosim_verify(
     backend: str,
     fault=None,
 ) -> list[CoSimMismatch]:
-    machine = Machine(
-        program,
-        mem_size=(config.data_memory_words() if config else 256),
-        num_bars=(config.num_bars if config else max(2, program.num_bars)),
-    )
-    result = machine.run(max_steps=max_cycles)
-    if not result.halted:
-        raise SimulationError(f"{program.name}: ISS did not halt")
-
     harness = CoSimHarness(program, config, backend=backend, fault=fault)
+    machine = run_to_halt(harness, max_cycles)
     pc_mask = (1 << max(1, harness.config.pc_bits)) - 1
-    halt_pc = machine.pc & pc_mask
-    if harness.config.pipeline_stages == 1:
-        for _ in range(machine.stats.instructions):
-            harness.step()
-    else:
-        # A multi-stage core parked in the HALT self-loop keeps
-        # re-fetching (its PC oscillates around the halt address), so
-        # quiescence is: no memory writes for a while and the PC
-        # repeatedly passing through the halt address.
-        quiet = 0
-        halt_sightings = 0
-        for _ in range(max_cycles):
-            harness.step()
-            quiet = 0 if harness.wrote_last_cycle else quiet + 1
-            if harness.pc == halt_pc:
-                halt_sightings += 1
-            else:
-                halt_sightings = max(0, halt_sightings)
-            if quiet >= 12 and halt_sightings >= 4:
-                break
-        else:
-            raise SimulationError(f"{program.name}: pipeline never quiesced")
-
     mismatches: list[CoSimMismatch] = []
 
     def check(what: str, gate: int, iss: int) -> None:

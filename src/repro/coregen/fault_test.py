@@ -46,7 +46,6 @@ from repro.isa.spec import Instruction, Mnemonic
 from repro.netlist.compile import BitParallelSimulator
 from repro.netlist.faults import (
     FaultCampaign,
-    FaultySimulator,
     StuckAtFault,
     enumerate_fault_sites,
 )
@@ -95,10 +94,7 @@ def _run(
     fault=None,
     backend: str = "compiled",
 ) -> tuple:
-    harness = CoSimHarness(program, config, backend=backend)
-    if fault is not None:
-        harness.sim = FaultySimulator(harness.netlist, fault, backend=backend)
-        harness.sim.reset()
+    harness = CoSimHarness(program, config, backend=backend, fault=fault)
     for _ in range(cycles):
         harness.step()
     return _signature(harness)
@@ -206,11 +202,11 @@ def _run_batched(
 ) -> list[tuple]:
     """Architectural signatures of ``len(faults)`` faulty runs at once.
 
-    Mirrors :meth:`CoSimHarness.step` exactly -- three settles with
-    behavioural ROM/RAM provided between them, then writeback -- but
-    every lane carries its own fault and its own data-memory image.
-    The memory loop itself lives in the shared
-    :class:`~repro.netlist.lanes.LaneMemoryHarness`.
+    Runs the clock schedule of :meth:`CoSimHarness.step`
+    (:class:`~repro.netlist.lanes.ClockSchedule`: one address-cone
+    settle and one full settle per cycle), but every lane carries its
+    own fault and its own data-memory image.  The memory loop itself
+    lives in the shared :class:`~repro.netlist.lanes.LaneMemoryHarness`.
     """
     if context is None:
         context = _prepare_campaign(program, config)
@@ -238,9 +234,8 @@ def _run_batched_numpy(
     """Architectural signatures of ``len(faults)`` faulty runs at once,
     on the numpy bit-slice backend.
 
-    Same cycle structure as :func:`_run_batched` (mirroring
-    :meth:`CoSimHarness.step`), but on the shared harness's array
-    path: instruction fetch is a table gather, data memory is one
+    Same clock schedule as :func:`_run_batched` and
+    :meth:`CoSimHarness.step`, but on the shared harness's array path: instruction fetch is a table gather, data memory is one
     ``(lanes, words)`` array read with fancy indexing and written back
     under the ``we`` mask, so the run stays O(kernel calls) rather
     than O(lanes) per cycle.

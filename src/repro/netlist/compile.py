@@ -2,8 +2,10 @@
 
 The interpreted :class:`repro.netlist.sim.CycleSimulator` walks the
 levelized netlist one instance at a time, paying a dict lookup and a
-Python function call per gate per settle -- three settles per clock
-cycle.  This module removes that overhead Verilator-style: the netlist
+Python function call per gate per settle -- one full settle and one
+address-cone settle per co-simulated clock cycle
+(:class:`~repro.netlist.lanes.ClockSchedule`; this backend runs both
+in full).  This module removes that overhead Verilator-style: the netlist
 is translated *once* into straight-line Python source (one bitwise
 expression statement per gate, operating on local variables) which is
 ``compile()``d and ``exec``'d into ordinary functions.  Evaluating a
@@ -437,6 +439,11 @@ class BitParallelSimulator:
             )
         else:
             self._compiled.settle(self._values, self.mask)
+
+    def settle_cone(self, cone) -> None:
+        """The clock schedule's address settle: lanes have no cone
+        plans, so this settles in full."""
+        self.settle()
 
     def tick(self) -> None:
         """Advance one clock edge in every lane (per-lane async reset)."""

@@ -114,13 +114,18 @@ class Netlist:
         function objects on the netlist; those are not picklable and
         are cheap to rebuild (they have their own on-disk artifact
         cache).  :func:`repro.netlist.nsim.numpy_netlist`,
-        :func:`repro.netlist.sta.arrival_plan` and
-        :func:`repro.mc.timing.timing_kernel` cache index and delay
-        arrays that rebuild in milliseconds.  So the on-disk netlist
-        artifact and process-pool transfers carry structure only.
+        :func:`repro.netlist.sta.arrival_plan`,
+        :func:`repro.mc.timing.timing_kernel` and
+        :func:`repro.netlist.lanes.clock_schedule` cache index, delay
+        and cone data that rebuild in milliseconds.  So the on-disk
+        netlist artifact and process-pool transfers carry structure
+        only.
         """
         state = dict(self.__dict__)
-        for memo in ("_compiled_sim", "_numpy_sim", "_sta_plan", "_mc_timing"):
+        for memo in (
+            "_compiled_sim", "_numpy_sim", "_sta_plan", "_mc_timing",
+            "_clock_schedule",
+        ):
             state.pop(memo, None)
         return state
 

@@ -65,16 +65,20 @@ class FaultySimulator(CycleSimulator):
             self._force_or[self._fault_net] = fault.stuck_value
 
     def settle(self) -> None:
-        # Levelized evaluation with the faulted driver overridden *in
-        # place*, so every downstream consumer sees the stuck value.
-        values = self._values
         if self._compiled is not None:
             self._compiled.settle_forced(
-                values, 1, self._force_and, self._force_or
+                self._values, 1, self._force_and, self._force_or
             )
-            return
+        else:
+            self._evaluate(self._order)
+
+    def _evaluate(self, cells) -> None:
+        # Levelized evaluation with the faulted driver overridden *in
+        # place*, so every downstream consumer sees the stuck value;
+        # the clock schedule's cone settle comes through here too.
+        values = self._values
         values[self._fault_net] = self.fault.stuck_value
-        for instance in self._order:
+        for instance in cells:
             if instance.output == self._fault_net:
                 continue
             function = CELL_FUNCTIONS[instance.cell]

@@ -27,6 +27,30 @@ loop; they now both drive this one harness, which picks the vectorized
 array path automatically when the simulator exposes
 ``read_output_array`` (numpy bit-slice) and the per-lane list path
 otherwise (bigint).
+
+:class:`ClockSchedule` is the one clock cycle every core run on
+behavioural memories takes -- the scalar
+:class:`~repro.coregen.cosim.CoSimHarness` and this lane harness
+alike:
+
+1. read ``pc`` without settling (it comes straight from flops);
+2. provide ``instr``;
+3. settle only the address cone (the fan-in of ``addr_a``/``addr_b``);
+4. provide ``rdata_a``/``rdata_b``;
+5. do one full settle;
+6. capture the write port and tick.
+
+The final settle sees the same instruction word, read data and flop
+state as any longer schedule, and toggles are counted at the tick
+against the last settled value, so every simulated value and toggle
+count is that of settling to a fixed point.  The cones are derived
+once per netlist by :func:`clock_schedule`, which also refuses a
+netlist where an output the clock reads depends combinationally on an
+input the clock provides after reading it.  Only the interpreted
+simulator restricts the address settle to the cone (84 cells of the
+344-1611 combinational ones on the 2-BAR sweep cores, 180 with 4
+BARs); the compiled, bigint and numpy backends settle in full for
+that step.
 """
 
 from __future__ import annotations
@@ -35,6 +59,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import SimulationError
+from repro.netlist.core import CONST0, CONST1, SEQUENTIAL_CELLS, Instance, Netlist
 
 
 @dataclass(frozen=True)
@@ -131,15 +156,97 @@ class LanePlan:
         ]
 
 
+@dataclass(frozen=True)
+class ClockSchedule:
+    """One clock cycle of a core on behavioural memories.
+
+    Attributes:
+        address_cone: The combinational fan-in of ``addr_a`` and
+            ``addr_b``, in topological order -- what step 3 settles.
+    """
+
+    address_cone: tuple[Instance, ...]
+
+    def clock(self, sim, read, fetch, load) -> tuple:
+        """Advance ``sim`` one clock cycle (see the module docstring).
+
+        ``read(name)`` reads an output bus; ``fetch(pc)`` returns the
+        instruction word and ``load(address)`` the data word at a read
+        port -- ints on a scalar simulator, one value per lane on a
+        lane simulator.  Returns the write port ``(we, waddr, wdata)``
+        captured before the edge, for the caller to write back.
+        """
+        sim.set_input("instr", fetch(read("pc")))
+        sim.settle_cone(self.address_cone)
+        sim.set_input("rdata_a", load(read("addr_a")))
+        sim.set_input("rdata_b", load(read("addr_b")))
+        sim.settle()
+        port = (read("we"), read("waddr"), read("wdata"))
+        sim.tick()
+        return port
+
+
+def clock_schedule(netlist: Netlist) -> ClockSchedule:
+    """The :class:`ClockSchedule` of ``netlist``, memoized on it.
+
+    Raises:
+        SimulationError: If an output the clock reads is missing, if
+            ``pc`` does not come straight from flops (the clock reads
+            it unsettled, right after the edge), or if an address
+            depends combinationally on read data, which the clock
+            provides after reading the address -- the message names
+            the output and the input.
+    """
+    cached = getattr(netlist, "_clock_schedule", None)
+    if cached is not None:
+        return cached
+    from repro.netlist.nsim import topological_order  # nsim imports LanePlan
+
+    flops = {i.output for i in netlist.instances if i.cell in SEQUENTIAL_CELLS}
+    if not set(_output_nets(netlist, "pc")) <= flops | {CONST0, CONST1}:
+        raise SimulationError(
+            "output 'pc' must come straight from flops: the clock reads "
+            "it unsettled, right after the edge"
+        )
+    input_of = {net: name for name, bus in netlist.inputs.items() for net in bus}
+    address: set[int] = set()
+    for output in ("addr_a", "addr_b"):
+        stack = list(_output_nets(netlist, output))
+        while stack:
+            net = stack.pop()
+            name = input_of.get(net)
+            if name in ("rdata_a", "rdata_b"):
+                raise SimulationError(
+                    f"output {output!r} depends combinationally on input "
+                    f"{name!r}, which the clock provides after reading "
+                    f"{output!r}"
+                )
+            driver = netlist.driver_of(net)
+            if driver is None or driver.cell in SEQUENTIAL_CELLS or net in address:
+                continue
+            address.add(net)
+            stack.extend(driver.inputs)
+    cached = netlist._clock_schedule = ClockSchedule(
+        tuple(i for i in topological_order(netlist) if i.output in address)
+    )
+    return cached
+
+
+def _output_nets(netlist: Netlist, name: str):
+    bus = netlist.outputs.get(name)
+    if bus is None:
+        raise SimulationError(f"no output bus named {name!r}")
+    return bus.nets
+
+
 class LaneMemoryHarness:
     """Behavioural ROM/RAM model around a lane-packed core simulator.
 
-    Drives the memory side of the canonical lane-parallel cycle --
-    settle, provide fetch+read data, settle, provide again, settle,
-    capture the write port, tick, write back -- for every lane at
-    once.  This is the loop :meth:`repro.coregen.cosim.CoSimHarness.step`
-    runs for one machine, generalized to K independent lanes and
-    shared by the fault campaign and the differential verifier.
+    Drives the memory side of the :class:`ClockSchedule` -- fetch,
+    address settle, read data, full settle, write port, tick, write
+    back -- for every lane at once.  :meth:`repro.coregen.cosim.
+    CoSimHarness.step` runs the same schedule for one machine; this
+    harness serves the fault campaign and the differential verifier.
 
     Two execution paths, chosen automatically:
 
@@ -152,7 +259,9 @@ class LaneMemoryHarness:
       loops over the simulator's list-valued ports.
 
     Both paths are bit-exact with each other and with the scalar
-    harness.
+    harness.  Construction derives the netlist's
+    :func:`clock_schedule`, so a netlist the schedule cannot run is
+    refused here.
 
     Args:
         sim: A lane simulator (``BitParallelSimulator`` or
@@ -199,6 +308,7 @@ class LaneMemoryHarness:
             raise SimulationError(
                 f"{len(memories)} memory images for {lanes} lanes"
             )
+        self._schedule = clock_schedule(sim.netlist)
         self.sim = sim
         self.lanes = lanes
         self._rom = list(rom) if rom is not None else None
@@ -254,66 +364,40 @@ class LaneMemoryHarness:
                 table[lane, pc] = self._halt(pc)
         return table
 
-    def _provide_array(self) -> None:
-        sim = self.sim
-        pcs = sim.read_output_array("pc")
+    def _fetch_array(self, pcs):
         if self._fetch.ndim == 1:
-            sim.set_input("instr", self._fetch[pcs])
-        else:
-            sim.set_input("instr", self._fetch[self._lane_index, pcs])
-        sim.set_input(
-            "rdata_a",
-            self._memory[self._lane_index, sim.read_output_array("addr_a")],
-        )
-        sim.set_input(
-            "rdata_b",
-            self._memory[self._lane_index, sim.read_output_array("addr_b")],
-        )
+            return self._fetch[pcs]
+        return self._fetch[self._lane_index, pcs]
 
-    def _provide_lists(self) -> None:
-        sim = self.sim
+    def _load_array(self, addresses):
+        return self._memory[self._lane_index, addresses]
+
+    def _fetch_lists(self, pcs: list[int]) -> list[int]:
         words = []
-        for lane, pc in enumerate(sim.read_output("pc")):
+        for lane, pc in enumerate(pcs):
             rom = self._rom if self._rom is not None else self._roms[lane]
-            if pc < len(rom):
-                words.append(rom[pc])
-            else:
-                words.append(self._halt(pc))
-        sim.set_input("instr", words)
-        addr_a = sim.read_output("addr_a")
-        addr_b = sim.read_output("addr_b")
-        memories = self.memories
-        sim.set_input(
-            "rdata_a",
-            [memories[lane][addr_a[lane]] for lane in range(self.lanes)],
-        )
-        sim.set_input(
-            "rdata_b",
-            [memories[lane][addr_b[lane]] for lane in range(self.lanes)],
-        )
+            words.append(rom[pc] if pc < len(rom) else self._halt(pc))
+        return words
+
+    def _load_lists(self, addresses: list[int]) -> list[int]:
+        return [
+            memory[address]
+            for memory, address in zip(self.memories, addresses)
+        ]
 
     def step(self) -> None:
         """Advance every lane one architectural cycle."""
         sim = self.sim
-        provide = (
-            self._provide_array if self.array_mode else self._provide_lists
-        )
-        sim.settle()
-        provide()
-        sim.settle()
-        provide()
-        sim.settle()
         if self.array_mode:
-            we = sim.read_output_array("we").astype(bool)
-            waddr = sim.read_output_array("waddr")
-            wdata = sim.read_output_array("wdata")
-            sim.tick()
+            we, waddr, wdata = self._schedule.clock(
+                sim, sim.read_output_array, self._fetch_array, self._load_array
+            )
+            we = we.astype(bool)
             self._memory[self._lane_index[we], waddr[we]] = wdata[we]
         else:
-            we = sim.read_output("we")
-            waddr = sim.read_output("waddr")
-            wdata = sim.read_output("wdata")
-            sim.tick()
+            we, waddr, wdata = self._schedule.clock(
+                sim, sim.read_output, self._fetch_lists, self._load_lists
+            )
             for lane in range(self.lanes):
                 if we[lane]:
                     self.memories[lane][waddr[lane]] = wdata[lane]

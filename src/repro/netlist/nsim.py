@@ -549,6 +549,11 @@ class NumpySimulator:
                 np.bitwise_and(block, and_mask, out=block)
                 np.bitwise_or(block, or_mask, out=block)
 
+    def settle_cone(self, cone) -> None:
+        """The clock schedule's address settle: lanes have no cone
+        plans, so this settles in full."""
+        self.settle()
+
     def tick(self) -> None:
         """Advance one clock edge in every lane (per-lane async reset)."""
         # Capture every D before writing any Q, so flop-to-flop paths

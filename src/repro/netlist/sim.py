@@ -12,14 +12,16 @@ Two backends share identical semantics (see ``docs/MODELS.md``):
   calling each cell's truth function -- simple and easy to instrument;
 * ``"compiled"`` executes straight-line Python generated from the
   netlist by :mod:`repro.netlist.compile`, removing the per-gate
-  dispatch overhead (roughly an order of magnitude faster).
+  dispatch overhead (about 6-7x faster per co-simulated cycle, where
+  the interpreter settles only the address cone in the middle step).
 
 External memories (the paper's crosspoint ROM and SRAM) are modelled
-outside the netlist: the harness reads address/control output buses
-after a combinational settle, supplies read data on input buses, and
-re-settles.  Because read data never feeds back into address logic in
-the TP-ISA cores, two settles per cycle reach a fixed point (the
-simulator checks this).
+outside the netlist by the clock schedule of
+:mod:`repro.netlist.lanes`: read ``pc`` (flop outputs, no settle),
+provide the instruction word, settle only the address cone
+(:meth:`CycleSimulator.settle_cone`), provide read data, settle once
+in full and tick.  The schedule refuses, once per netlist, a core
+whose address logic reads the read data it selects.
 
 Per-instance output toggle counts are recorded for measured-activity
 power analysis; both backends account toggles identically.  Probes
@@ -30,12 +32,13 @@ profiling; with none attached the hook costs one branch per tick.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import SimulationError
 from repro.netlist.core import (
     CELL_FUNCTIONS,
     CONST1,
+    Instance,
     Netlist,
     SEQUENTIAL_CELLS,
 )
@@ -128,11 +131,27 @@ class CycleSimulator:
 
     def settle(self) -> None:
         """Propagate current inputs/state through combinational logic."""
-        values = self._values
         if self._compiled is not None:
-            self._compiled.settle(values, 1)
-            return
-        for instance in self._order:
+            self._compiled.settle(self._values, 1)
+        else:
+            self._evaluate(self._order)
+
+    def settle_cone(self, cone: Sequence[Instance]) -> None:
+        """Settle only ``cone``, cells in topological order.
+
+        The clock schedule's address step (see
+        :class:`repro.netlist.lanes.ClockSchedule`): the cone's inputs
+        outside it must already hold their values.  The compiled
+        backend has no per-cone code and settles in full.
+        """
+        if self._compiled is not None:
+            self.settle()
+        else:
+            self._evaluate(cone)
+
+    def _evaluate(self, cells: Sequence[Instance]) -> None:
+        values = self._values
+        for instance in cells:
             function = CELL_FUNCTIONS[instance.cell]
             values[instance.output] = function(*(values[n] for n in instance.inputs))
 
@@ -191,33 +210,6 @@ class CycleSimulator:
         self.tick()
         self.set_input("rst_n", 1)
         self.settle()
-
-    def step_with_memory(
-        self,
-        provide_inputs: Callable[["CycleSimulator"], None],
-    ) -> None:
-        """Run one full cycle with an external-memory callback.
-
-        The callback inspects settled outputs (addresses, write
-        enables) via :meth:`read_output` and drives read-data inputs
-        via :meth:`set_input`.  The simulator settles, calls the
-        callback, re-settles, re-calls, and verifies the second call
-        changed nothing (fixed point), then ticks the clock.
-        """
-        self.settle()
-        provide_inputs(self)
-        self.settle()
-        snapshot = {
-            name: self.read_output(name) for name in self.netlist.outputs
-        }
-        provide_inputs(self)
-        self.settle()
-        for name, before in snapshot.items():
-            if self.read_output(name) != before:
-                raise SimulationError(
-                    f"memory feedback did not reach a fixed point on output {name!r}"
-                )
-        self.tick()
 
     # -- instrumentation -----------------------------------------------------
 

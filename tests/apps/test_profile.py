@@ -92,6 +92,22 @@ class TestProfileDesign:
                     "energy_per_cycle", "total_energy"):
             assert compiled[key] == interpreted[key]
 
+    def test_pipelined_core_runs_to_quiescence(self):
+        """p3_8_2 halts through the multi-stage quiescence loop; both
+        backends agree and the attribution still conserves energy."""
+        config = CoreConfig(datawidth=8, pipeline_stages=3)
+        kw = dict(program_name="mult", top=3)
+        compiled = profile_design(config, backend="compiled", **kw)
+        interpreted = profile_design(config, backend="interpreted", **kw)
+        assert compiled["design"] == "p3_8_2"
+        assert compiled["cycles"] == 95
+        for key in ("cycles", "by_module", "by_cell", "instructions",
+                    "energy_per_cycle", "total_energy"):
+            assert compiled[key] == interpreted[key]
+        total = compiled["energy_per_cycle"]
+        assert sum(compiled["by_module"].values()) == total
+        assert sum(compiled["by_cell"].values()) == total
+
     def test_trace_window_bounds_memory_not_energy(self):
         bounded = profile_design(
             CoreConfig(datawidth=4), program_name="mult", trace_maxlen=8

@@ -80,33 +80,6 @@ class TestIo:
 
 
 class TestMemoryCallback:
-    def test_step_with_memory_fixed_point(self):
-        """A register fed through an external 'memory' that doubles."""
-        n = Netlist("t")
-        data_in = n.input_bus("mem_rdata", 4)
-        q = n.register(data_in.nets, name="r")
-        n.output_bus("mem_addr", q.nets)
-        sim = CycleSimulator(n)
-        sim.set_input("rst_n", 1)
-
-        memory = {i: (2 * i) % 16 for i in range(16)}
-
-        def provide(s):
-            s.set_input("mem_rdata", memory[s.read_output("mem_addr")])
-
-        sim.settle()
-        values = []
-        for _ in range(4):
-            sim.step_with_memory(provide)
-            values.append(sim.read_output("mem_addr"))
-        assert values == [0, 0, 0, 0]  # address 0 maps to data 0
-        # Seed a nonzero start: preload address 0 -> 3.
-        memory[0] = 3
-        sim.step_with_memory(provide)
-        assert sim.read_output("mem_addr") == 3
-        sim.step_with_memory(provide)
-        assert sim.read_output("mem_addr") == 6
-
     def test_toggle_counts_accumulate(self):
         sim = CycleSimulator(counter())
         sim.reset()

@@ -36,9 +36,8 @@ import pytest
 
 from repro import obs
 from repro.__main__ import main
-from repro.apps.profile import _run_to_halt
 from repro.coregen.config import config_from_name, standard_sweep
-from repro.coregen.cosim import CoSimHarness
+from repro.coregen.cosim import CoSimHarness, run_to_halt
 from repro.coregen.fault_test import run_fault_campaign
 from repro.coregen.generator import generate_core
 from repro.dse.sweep import DesignPoint, evaluate_design
@@ -173,7 +172,7 @@ def toggle_pin(name: str) -> str:
         build_benchmark("crc8", 8, 8), config_from_name(config_name),
         backend=backend,
     )
-    _run_to_halt(harness, 200_000)
+    run_to_halt(harness)
     counts = sorted(harness.sim.toggle_counts().items())
     return _sha256(json.dumps(counts).encode())
 
