@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import SimulationError
-from repro.netlist.core import CONST0, CONST1, SEQUENTIAL_CELLS, Instance, Netlist
+from repro.netlist.core import SEQUENTIAL_CELLS, Instance, Netlist
 
 
 @dataclass(frozen=True)
@@ -191,52 +191,59 @@ def clock_schedule(netlist: Netlist) -> ClockSchedule:
 
     Raises:
         SimulationError: If an output the clock reads is missing, if
-            ``pc`` does not come straight from flops (the clock reads
-            it unsettled, right after the edge), or if an address
-            depends combinationally on read data, which the clock
-            provides after reading the address -- the message names
-            the output and the input.
+            one depends combinationally on an input the clock provides
+            after reading it (the message names both), or if ``pc``
+            passes through combinational cells (the clock reads it
+            unsettled, right after the edge).
     """
     cached = getattr(netlist, "_clock_schedule", None)
     if cached is not None:
         return cached
     from repro.netlist.nsim import topological_order  # nsim imports LanePlan
 
-    flops = {i.output for i in netlist.instances if i.cell in SEQUENTIAL_CELLS}
-    if not set(_output_nets(netlist, "pc")) <= flops | {CONST0, CONST1}:
+    input_of = {net: name for name, bus in netlist.inputs.items() for net in bus}
+    rdata = ("rdata_a", "rdata_b")
+    if _cone(netlist, "pc", ("instr", *rdata), input_of):
         raise SimulationError(
             "output 'pc' must come straight from flops: the clock reads "
             "it unsettled, right after the edge"
         )
-    input_of = {net: name for name, bus in netlist.inputs.items() for net in bus}
-    address: set[int] = set()
-    for output in ("addr_a", "addr_b"):
-        stack = list(_output_nets(netlist, output))
-        while stack:
-            net = stack.pop()
-            name = input_of.get(net)
-            if name in ("rdata_a", "rdata_b"):
-                raise SimulationError(
-                    f"output {output!r} depends combinationally on input "
-                    f"{name!r}, which the clock provides after reading "
-                    f"{output!r}"
-                )
-            driver = netlist.driver_of(net)
-            if driver is None or driver.cell in SEQUENTIAL_CELLS or net in address:
-                continue
-            address.add(net)
-            stack.extend(driver.inputs)
+    address = _cone(netlist, "addr_a", rdata, input_of)
+    address |= _cone(netlist, "addr_b", rdata, input_of)
     cached = netlist._clock_schedule = ClockSchedule(
         tuple(i for i in topological_order(netlist) if i.output in address)
     )
     return cached
 
 
-def _output_nets(netlist: Netlist, name: str):
-    bus = netlist.outputs.get(name)
+def _cone(
+    netlist: Netlist, output: str, later: tuple[str, ...], input_of: dict
+) -> set[int]:
+    """Output nets of the combinational cells in ``output``'s fan-in.
+
+    The walk stops at flops, constants and primary inputs, and raises
+    if it reaches an input in ``later`` -- one the clock provides after
+    reading ``output``.
+    """
+    bus = netlist.outputs.get(output)
     if bus is None:
-        raise SimulationError(f"no output bus named {name!r}")
-    return bus.nets
+        raise SimulationError(f"no output bus named {output!r}")
+    cone: set[int] = set()
+    stack = list(bus.nets)
+    while stack:
+        net = stack.pop()
+        if input_of.get(net) in later:
+            raise SimulationError(
+                f"output {output!r} depends combinationally on input "
+                f"{input_of[net]!r}, which the clock provides after "
+                f"reading {output!r}"
+            )
+        driver = netlist.driver_of(net)
+        if driver is None or driver.cell in SEQUENTIAL_CELLS or net in cone:
+            continue
+        cone.add(net)
+        stack.extend(driver.inputs)
+    return cone
 
 
 class LaneMemoryHarness:

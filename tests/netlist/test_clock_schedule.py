@@ -117,16 +117,22 @@ class TestRefusal:
             with pytest.raises(SimulationError, match=match):
                 CoSimHarness(build_benchmark("crc8", 8, 8), backend=backend)
 
-    def test_pc_through_logic_refused(self):
+    @pytest.mark.parametrize(
+        "source,match",
+        [("flops", "'pc'.*flops"), ("instr", "'pc'.*'instr'")],
+        ids=["through-flops", "from-instr"],
+    )
+    def test_pc_through_logic_refused(self, source, match):
         netlist = Netlist("schedule")
-        netlist.input_bus("instr", 2)
+        instr = netlist.input_bus("instr", 2)
         for name in ("rdata_a", "rdata_b"):
             netlist.input_bus(name, 2)
-        q = netlist.register(netlist.inputs["instr"].nets, name="q")
-        netlist.output_bus("pc", [netlist.not_(net) for net in q])
+        q = netlist.register(instr.nets, name="q")
+        drives = q if source == "flops" else instr
+        netlist.output_bus("pc", [netlist.not_(net) for net in drives])
         for name in ("addr_a", "addr_b"):
             netlist.output_bus(name, q.nets)
-        with pytest.raises(SimulationError, match="'pc'.*flops"):
+        with pytest.raises(SimulationError, match=match):
             clock_schedule(netlist)
 
     def test_missing_port_refused(self):
