@@ -3,9 +3,10 @@
 :class:`~repro.netlist.lanes.ClockSchedule` reads ``pc`` unsettled,
 settles only the address cone before it provides read data, and
 settles in full once per clock.  These tests check the cones it
-derives on real cores, the netlists it refuses, that memory feedback
-through a flop still runs, and that a clock costs exactly one cone
-settle and one full settle on every backend.
+derives on real cores, the netlists it refuses, and that a clock costs
+exactly one cone settle and one full settle on every backend.  Memory
+feedback through a flop, which it accepts, runs on every backend in
+``tests/test_sim_compiled.py`` (``TestFixedPointBehaviour``).
 """
 
 import pytest
@@ -20,10 +21,10 @@ from repro.netlist.compile import BitParallelSimulator
 from repro.netlist.core import CONST0, CONST1, SEQUENTIAL_CELLS, Netlist
 from repro.netlist.lanes import LaneMemoryHarness, clock_schedule
 from repro.netlist.nsim import NumpySimulator
-from repro.netlist.sim import CycleSimulator
 from repro.programs import build_benchmark
 from repro.verify import DEFAULT_CONFIGS, random_program
 from repro.verify.differential import ps_isa_variant
+from tests.netlist.helpers import memory_netlist
 
 BACKENDS = ("interpreted", "compiled", "bigint", "numpy")
 LANE_SIMULATORS = {"bigint": BitParallelSimulator, "numpy": NumpySimulator}
@@ -67,29 +68,6 @@ class TestCones:
         assert clock_schedule(netlist) is clock_schedule(netlist)
         clone = pickle.loads(pickle.dumps(netlist))
         assert not hasattr(clone, "_clock_schedule")
-
-
-def memory_netlist(address_a):
-    """A toy core: ``pc`` and ``addr_a`` from flops unless ``address_a``
-    builds ``addr_a`` otherwise; ``addr_b`` reads ``instr``."""
-    netlist = Netlist("schedule")
-    instr = netlist.input_bus("instr", 4)
-    rdata_a = netlist.input_bus("rdata_a", 4)
-    netlist.input_bus("rdata_b", 4)
-    pc = netlist.register(instr.nets, name="pc")
-    netlist.output_bus("pc", pc.nets)
-    netlist.output_bus("addr_a", address_a(netlist, rdata_a))
-    netlist.output_bus(
-        "addr_b", [netlist.xor_(a, b) for a, b in zip(instr, pc)]
-    )
-    netlist.output_bus("we", [CONST0])
-    netlist.output_bus("waddr", pc.nets)
-    netlist.output_bus("wdata", rdata_a.nets)
-    return netlist
-
-
-def through_flop(netlist, rdata_a):
-    return netlist.register(rdata_a.nets, name="r").nets
 
 
 def combinational(netlist, rdata_a):
@@ -141,30 +119,6 @@ class TestRefusal:
         netlist.output_bus("pc", netlist.register([CONST1], name="q").nets)
         with pytest.raises(SimulationError, match="addr_a"):
             clock_schedule(netlist)
-
-
-class TestFeedbackThroughFlop:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_address_fed_from_read_data_through_a_flop(self, backend):
-        """The register behind ``addr_a`` loads the word it addresses."""
-        netlist = memory_netlist(through_flop)
-        if backend in LANE_SIMULATORS:
-            sim = LANE_SIMULATORS[backend](netlist, 1)
-
-            def read(name):
-                return sim.read_output(name)[0]
-        else:
-            sim = CycleSimulator(netlist, backend=backend)
-            read = sim.read_output
-        memory = [(3 * i) % 16 for i in range(16)]
-        memory[0] = 5
-        sim.reset()
-        schedule = clock_schedule(netlist)
-        addresses = []
-        for _ in range(3):
-            schedule.clock(sim, read, lambda pc: 0, memory.__getitem__)
-            addresses.append(read("addr_a"))
-        assert addresses == [5, 15, 13]
 
 
 def count_settles(monkeypatch, sim):

@@ -5,7 +5,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.netlist.components import incrementer
 from repro.netlist.core import Netlist
+from repro.netlist.lanes import clock_schedule
 from repro.netlist.sim import CycleSimulator
+from tests.netlist.helpers import memory_netlist, through_flop
 
 
 def counter(width=4):
@@ -80,6 +82,24 @@ class TestIo:
 
 
 class TestMemoryCallback:
+    def test_step_with_memory_fixed_point(self):
+        """A register fed through an external 'memory' that doubles,
+        one clock of the memory clock schedule at a time."""
+        netlist = memory_netlist(through_flop)
+        sim = CycleSimulator(netlist)
+        sim.reset()
+        memory = [(2 * i) % 16 for i in range(16)]
+        schedule = clock_schedule(netlist)
+
+        def clock():
+            schedule.clock(sim, sim.read_output, lambda pc: 0, memory.__getitem__)
+            return sim.read_output("addr_a")
+
+        assert [clock() for _ in range(4)] == [0, 0, 0, 0]  # 0 maps to 0
+        # Seed a nonzero start: preload address 0 -> 3.
+        memory[0] = 3
+        assert [clock(), clock()] == [3, 6]
+
     def test_toggle_counts_accumulate(self):
         sim = CycleSimulator(counter())
         sim.reset()

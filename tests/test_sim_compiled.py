@@ -4,9 +4,11 @@ The compiled backend, its bit-parallel lane mode, and the vectorized
 numpy bit-slice backend must be bit-exact with the reference
 interpreter -- same output values, same flop state -- on every
 configuration of the paper's Figure 7 sweep, under randomized
-stimulus (the memory clock schedule they share is tested in
-``tests/netlist/test_clock_schedule.py``).  Fault injection and fault campaigns must
-agree across all four backends as well, fault for fault.
+stimulus, and must run a memory loop through a flop on the memory
+clock schedule alike (the schedule itself is tested in
+``tests/netlist/test_clock_schedule.py``).  Fault injection and fault
+campaigns must agree across all four backends as well, fault for
+fault.
 """
 
 import random
@@ -21,8 +23,10 @@ from repro.errors import SimulationError, UnsupportedInLaneMode
 from repro.isa.assembler import assemble
 from repro.netlist.compile import BitParallelSimulator, compiled_netlist
 from repro.netlist.faults import FaultySimulator, StuckAtFault, enumerate_fault_sites
+from repro.netlist.lanes import clock_schedule
 from repro.netlist.nsim import NumpySimulator
 from repro.netlist.sim import CycleSimulator
+from tests.netlist.helpers import memory_netlist, through_flop
 
 
 def random_stimulus(netlist, rng, cycle):
@@ -248,6 +252,34 @@ class TestLaneModeGuards:
         sim.settle()
         with pytest.raises(UnsupportedInLaneMode, match="lane mode"):
             sim.toggle_counts()
+
+
+class TestFixedPointBehaviour:
+    @pytest.mark.parametrize(
+        "backend", ["interpreted", "compiled", "bigint", "numpy"]
+    )
+    def test_step_with_memory_converges(self, backend):
+        """The register behind ``addr_a`` loads the word it addresses:
+        a loop through a flop, which the clock schedule accepts."""
+        netlist = memory_netlist(through_flop)
+        lane_simulator = {"bigint": BitParallelSimulator, "numpy": NumpySimulator}
+        if backend in lane_simulator:
+            sim = lane_simulator[backend](netlist, 1)
+
+            def read(name):
+                return sim.read_output(name)[0]
+        else:
+            sim = CycleSimulator(netlist, backend=backend)
+            read = sim.read_output
+        memory = [(3 * i) % 16 for i in range(16)]
+        memory[0] = 5
+        sim.reset()
+        schedule = clock_schedule(netlist)
+        addresses = []
+        for _ in range(3):
+            schedule.clock(sim, read, lambda pc: 0, memory.__getitem__)
+            addresses.append(read("addr_a"))
+        assert addresses == [5, 15, 13]
 
 
 class TestCampaignEquivalence:
