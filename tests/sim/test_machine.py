@@ -1,5 +1,8 @@
 """Tests for the TP-ISA instruction-set simulator."""
 
+import re
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,9 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.isa.assembler import assemble
 from repro.isa.spec import Flag
+from repro.programs import build_benchmark
 from repro.sim.machine import Machine
+from repro.sim.trace import FetchTrace
 
 
 def run_source(source, **pokes):
@@ -226,3 +231,133 @@ class TestStats:
         machine.run()
         assert machine.peek("x") == 0
         assert machine.carry == 1
+
+
+# Each check, with the instruction that fails it and its message.
+FAILING = {
+    "operand BAR": (".bars 2", "ADD b3:0, x", "operand uses BAR 3 but core has 2"),
+    "effective address": ("", "STORE b1:0, 1", "effective address 9 exceeds memory size 8"),
+    "STORE immediate": (".width 4", "STORE x, 20", "STORE immediate 20 exceeds 4-bit width"),
+    "SETBAR index": (".bars 2", "SETBAR 3, x", "SETBAR 3 but core has 2 BARs"),
+}
+
+
+def failing_machine(check, skipped=False):
+    directive, line, _ = FAILING[check]
+    jump = "BRN end, 0\n" if skipped else ""
+    source = f"{directive}\n.word x 1\n.word y\nADD y, x\n{jump}{line}\nend:\nHALT\n"
+    machine = Machine(assemble(source), mem_size=8)
+    machine.bars[1] = 9
+    return machine
+
+
+def snapshot(machine):
+    return (
+        machine.pc, machine.flags, list(machine.bars), list(machine.memory),
+        machine.halted, repr(astuple(machine.stats)),
+    )
+
+
+class TestChecksAtExecution:
+    @pytest.mark.parametrize("check", sorted(FAILING))
+    def test_raises_when_the_instruction_executes(self, check):
+        machine = failing_machine(check)
+        machine.step()  # ADD y, x
+        before = snapshot(machine)
+        with pytest.raises(SimulationError, match=re.escape(FAILING[check][2])):
+            machine.run()
+        # pc stays on the failing instruction, which changed nothing.
+        assert machine.pc == 1
+        assert snapshot(machine) == before
+
+    @pytest.mark.parametrize("check", sorted(FAILING))
+    def test_skipped_instruction_halts_cleanly(self, check):
+        machine = failing_machine(check, skipped=True)
+        assert machine.run().halted
+        assert machine.stats.instructions == 3  # ADD, BRN, HALT
+
+    def test_budget_exhaustion_keeps_the_counts(self):
+        machine = Machine(assemble("loop:\nBRN loop, Z\n"))
+        with pytest.raises(SimulationError, match="no halt within 7 steps"):
+            machine.run(max_steps=7)
+        assert machine.stats.instructions == machine.stats.taken_branches == 7
+
+
+STEP_PROGRAMS = [("crc8", 8, 8), ("mult", 16, 8), ("inSort", 8, 8), ("tHold", 32, 16)]
+
+
+class TestStepAndRun:
+    @pytest.mark.parametrize("name,kernel_width,core_width", STEP_PROGRAMS)
+    @pytest.mark.parametrize("steps", [1, 2, 9, 40])
+    def test_steps_then_run_equal_one_run(self, name, kernel_width, core_width, steps):
+        program = build_benchmark(name, kernel_width, core_width)
+        whole = Machine(program)
+        whole.run()
+        stepped = Machine(program)
+        for _ in range(steps):
+            stepped.step()
+        stepped.run()
+        assert snapshot(stepped) == snapshot(whole)
+
+    def test_stepping_to_halt_equals_one_run(self):
+        program = build_benchmark("crc8", 8, 8)
+        whole = Machine(program)
+        whole.run()
+        stepped = Machine(program)
+        while not stepped.halted:
+            stepped.step()
+        assert snapshot(stepped) == snapshot(whole)
+
+    def test_step_after_halt_changes_nothing(self):
+        trace = FetchTrace()
+        machine = Machine(build_benchmark("mult", 8, 8), fetch_trace=trace)
+        machine.run()
+        before, fetched = snapshot(machine), len(trace)
+        for _ in range(3):
+            machine.step()
+        assert machine.run().halted
+        assert snapshot(machine) == before
+        assert len(trace) == fetched
+
+    def test_fetch_trace_records_the_pc_stream(self):
+        source = ".word i 3\n.word one 1\nloop:\nSUB i, one\nBRN loop, Z\nHALT\n"
+        trace = FetchTrace()
+        machine = Machine(assemble(source), fetch_trace=trace)
+        machine.step()
+        machine.run()
+        assert trace.addresses == [0, 1, 0, 1, 0, 1, 2]
+        assert machine.stats.fetches == len(trace)
+
+    def test_running_off_the_end_is_not_a_fetch(self):
+        trace = FetchTrace()
+        machine = Machine(assemble(".word x\nSTORE x, 3\n"), fetch_trace=trace)
+        assert machine.run(max_steps=2).halted
+        assert trace.addresses == [0]
+        assert machine.stats.instructions == 1
+
+    def test_poked_bar_takes_effect(self):
+        machine = Machine(assemble(".array buf 8\nSTORE b1:1, 7\nHALT\n"))
+        machine.bars[1] = 4
+        machine.run()
+        assert machine.peek(5) == 7
+        assert machine.stats.touched_addresses == {5}
+
+
+class TestHarnessAccess:
+    @pytest.mark.parametrize("address", [-1, 8, 256])
+    def test_load_outside_memory_rejected(self, address):
+        machine = Machine(assemble(".word x\nHALT\n"), mem_size=8)
+        with pytest.raises(SimulationError, match=f"address {address} outside .* 8 words"):
+            machine.load(address, 5)
+        assert machine.memory == [0] * 8
+
+    @pytest.mark.parametrize("address", [-1, 8])
+    def test_peek_outside_memory_rejected(self, address):
+        machine = Machine(assemble(".word x\nHALT\n"), mem_size=8)
+        with pytest.raises(SimulationError, match=f"address {address} outside"):
+            machine.peek(address)
+
+    def test_last_word_is_addressable(self):
+        machine = Machine(assemble(".word x\nHALT\n"), mem_size=8)
+        machine.load(7, 0x1FF)
+        assert machine.peek(7) == 0xFF
