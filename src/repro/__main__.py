@@ -68,7 +68,7 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.cli import JOBS, Option, parse, usage_error
+from repro.cli import JOBS, Option, parse, unwritable, usage_error
 from repro.eval import figures, tables
 from repro.eval.report import render_table
 from repro.units import to_cm2, to_mW
@@ -295,13 +295,19 @@ def _finish(command: list[str], start: float, args, profile: bool) -> int:
         return 0
     wall = time.perf_counter() - start
     report = obs.build_run_report(command, wall)
-    path = obs.write_run_report(args.report_out, report)
+    try:
+        path = obs.write_run_report(args.report_out, report)
+    except OSError as error:
+        return unwritable("", OPTIONS, "--report-out", args.report_out, error)
     print(obs.render_run_report(report))
     print(f"run report -> {path}")
     if args.trace_out:
         # Suffix picks the format: .json = ready-to-load JSON array,
         # anything else = streaming JSONL (see obs.export_trace).
-        count = obs.export_trace(args.trace_out)
+        try:
+            count = obs.export_trace(args.trace_out)
+        except OSError as error:
+            return unwritable("", OPTIONS, "--trace-out", args.trace_out, error)
         print(f"trace ({count} spans) -> {args.trace_out}")
     return 0
 

@@ -127,14 +127,16 @@ def history_main(argv: list[str]) -> int:
 
 def dashboard_main(argv: list[str]) -> int:
     """Entry point for the ``dashboard`` subcommand."""
-    from pathlib import Path
-
-    from repro.obs.dashboard import render_dashboard
+    from repro.obs.dashboard import write_dashboard
 
     args = cli.parse("dashboard", DASHBOARD_OPTIONS, argv, __doc__)
     if isinstance(args, int):
         return args
     records = history.read_ledger(args.ledger)
-    Path(args.out).write_text(render_dashboard(records, title=args.title))
+    try:
+        write_dashboard(args.out, records, title=args.title)
+    except OSError as error:
+        return cli.unwritable("dashboard", DASHBOARD_OPTIONS, "--out",
+                              args.out, error)
     print(f"dashboard ({len(records)} records) -> {args.out}")
     return 0

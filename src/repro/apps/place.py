@@ -187,6 +187,10 @@ def place_main(argv: list[str]) -> int:
             wall,
             extra={"placements": placements},
         )
-        obs.write_run_report(args.report, run_report)
+        try:
+            obs.write_run_report(args.report, run_report)
+        except OSError as error:
+            return cli.unwritable("place", PLACE_OPTIONS, "--report",
+                                  args.report, error)
         print(f"report: {args.report}")
     return 1 if failed else 0

@@ -400,6 +400,10 @@ def profile_main(argv: list[str]) -> int:
         report = obs.build_run_report(
             ["profile-design", *args.configs], wall, profiles=profiles
         )
-        path = obs.write_run_report(args.report_out, report)
+        try:
+            path = obs.write_run_report(args.report_out, report)
+        except OSError as error:
+            return cli.unwritable("profile-design", PROFILE_OPTIONS,
+                                  "--report-out", args.report_out, error)
         print(f"run report -> {path}")
     return 0

@@ -105,6 +105,10 @@ def yield_main(argv: list[str]) -> int:
             wall,
             extra={"yield_campaigns": campaigns},
         )
-        obs.write_run_report(args.report, run_report)
+        try:
+            obs.write_run_report(args.report, run_report)
+        except OSError as error:
+            return cli.unwritable("yield", YIELD_OPTIONS, "--report",
+                                  args.report, error)
         print(f"report: {args.report}")
     return 0

@@ -124,8 +124,8 @@ def config_name(text: str) -> str:
 positive_int = number(int, low=1)
 
 # Options several commands share.
-JOBS = Option("--jobs", positive_int, None,
-              "worker processes; None defers to $REPRO_JOBS, else 1")
+JOBS = Option("--jobs", positive_int, None, "worker processes; None runs 1",
+              env="REPRO_JOBS")
 SEED = Option("--seed", number(int, low=0), 0, "random seed")
 TECHNOLOGY = Option("--technology", str, "EGFET", "printed technology",
                     choices=(*TECHNOLOGIES, "CNT-TFT"))
@@ -237,3 +237,11 @@ def usage_error(prog: str, spec: Spec, message: str) -> int:
     parser.print_usage(sys.stderr)
     print(f"{parser.prog}: error: {message}", file=sys.stderr)
     return 2
+
+
+def unwritable(prog: str, spec: Spec, flag: str, path, error: OSError) -> int:
+    """Report that ``flag``'s ``path`` cannot be written, as :func:`parse`
+    reports bad input: one message naming the flag, and 2."""
+    return usage_error(
+        prog, spec, f"{flag}: cannot write {path}: {error.strerror or error}"
+    )

@@ -8,6 +8,10 @@ Technology names normalize at this API boundary (``"CNT-TFT"`` is an
 accepted alias of canonical ``"CNT"``), so the evaluation cache never
 splits on spelling and :attr:`DesignPoint.technology` always holds the
 canonical name.
+
+A core's analysis (:func:`core_reports`) is memoized per (core,
+technology) and shared with the Figure 8 / Table 8 system evaluation,
+so each core is analysed once per technology whichever driver asks.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from functools import lru_cache
 from repro import obs
 from repro.coregen.config import CoreConfig, standard_sweep
 from repro.coregen.generator import generate_core
-from repro.netlist.power import power_report
-from repro.netlist.sta import timing_report
-from repro.netlist.stats import area_report
+from repro.netlist.power import PowerReport, power_report
+from repro.netlist.sta import TimingReport, timing_report
+from repro.netlist.stats import AreaReport, area_report
 from repro.pdk import canonical_technology, technology_library
 
 _EVALUATIONS = obs.counter("dse.evaluations")
@@ -48,6 +52,38 @@ class DesignPoint:
         return self.config.name
 
 
+@dataclass(frozen=True)
+class CoreReports:
+    """The one area, power and timing analysis of a core in a technology."""
+
+    area: AreaReport
+    power: PowerReport
+    timing: TimingReport
+
+
+def core_reports(config: CoreConfig, technology: str = "EGFET") -> CoreReports:
+    """Elaborate and analyse one core in one technology (memoized).
+
+    Every driver reads a core's area, power and timing here: Figure 7's
+    :func:`evaluate_design` and the Figure 8 / Table 8 systems
+    (:func:`repro.eval.system.compose_system`), so a core has one fmax
+    and one energy whichever asks first.  Cached per (config, canonical
+    technology), like :func:`evaluate_design`.
+    """
+    return _core_reports(config, canonical_technology(technology))
+
+
+@lru_cache(maxsize=256)
+def _core_reports(config: CoreConfig, technology: str) -> CoreReports:
+    library = technology_library(technology)
+    netlist = generate_core(config)
+    return CoreReports(
+        area=area_report(netlist, library),
+        power=power_report(netlist, library),
+        timing=timing_report(netlist, library),
+    )
+
+
 def evaluate_design(config: CoreConfig, technology: str = "EGFET") -> DesignPoint:
     """Elaborate and measure one configuration (memoized).
 
@@ -70,11 +106,8 @@ def evaluate_design(config: CoreConfig, technology: str = "EGFET") -> DesignPoin
 def _evaluate_design(config: CoreConfig, technology: str) -> DesignPoint:
     with obs.span("evaluate_design", design=config.name, technology=technology) as sp:
         _EVALUATIONS.inc()
-        library = technology_library(technology)
-        netlist = generate_core(config)
-        area = area_report(netlist, library)
-        power = power_report(netlist, library)
-        timing = timing_report(netlist, library)
+        reports = _core_reports(config, technology)
+        area, power, timing = reports.area, reports.power, reports.timing
         sp.note(fmax=timing.fmax, gates=area.gate_count)
         return DesignPoint(
             config=config,

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 from repro.baselines.specs import BASELINE_SPECS
 from repro.coregen.config import CoreConfig
 from repro.dse.sweep import DesignPoint, sweep_design_space
-from repro.eval.system import SystemMetrics, evaluate_system
+from repro.eval.system import SystemMetrics, benchmark_system
 from repro.isa.disasm import disassemble
 from repro.isa.spec import Mnemonic, OP_TABLE
 from repro.power.battery import PRINTED_BATTERIES
 from repro.power.lifetime import lifetime_hours
-from repro.programs import BENCHMARKS, build_benchmark
+from repro.programs import BENCHMARKS
 
 #: Duty fractions swept on the Figure 4/5 x-axis.
 DUTY_FRACTIONS = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
@@ -93,22 +93,22 @@ def fig8_benchmark(
             continue
         if spec.uses_bars and config.num_bars < 2:
             continue
-        program = build_benchmark(
-            name, kernel_width, config.datawidth, num_bars=config.num_bars
-        )
-        results.append(evaluate_system(program, config, technology))
+        results.append(benchmark_system(
+            name, kernel_width, config.datawidth, config.num_bars, technology
+        ))
     # Rightmost bar: the program-specific system at native width.
     if spec.supports(kernel_width, kernel_width):
-        program = build_benchmark(name, kernel_width, kernel_width)
-        results.append(
-            evaluate_system(program, technology=technology, program_specific=True)
-        )
+        results.append(benchmark_system(
+            name, kernel_width, kernel_width, technology=technology,
+            program_specific=True,
+        ))
     return results
 
 
 def fig8_dtree_romopt(technology: str = "EGFET") -> tuple[SystemMetrics, SystemMetrics]:
     """The dTree-ROMopt comparison: 1-bit vs 2-bit MLC instruction ROM."""
-    program = build_benchmark("dTree", 8, 8)
-    base = evaluate_system(program, technology=technology)
-    optimized = evaluate_system(program, technology=technology, rom_bits_per_cell=2)
+    base = benchmark_system("dTree", 8, 8, technology=technology)
+    optimized = benchmark_system(
+        "dTree", 8, 8, technology=technology, rom_bits_per_cell=2
+    )
     return base, optimized

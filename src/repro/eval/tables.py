@@ -14,7 +14,7 @@ from repro.baselines.kernels import BASELINE_CORES, run_baseline
 from repro.baselines.model import structural_report
 from repro.baselines.specs import BASELINE_SPECS
 from repro.coregen.config import CoreConfig
-from repro.eval.system import evaluate_system
+from repro.eval.system import benchmark_system
 from repro.isa.analysis import analyze_program
 from repro.memory.devices import EGFET_MEMORY_DEVICES
 from repro.memory.ram import SramArray
@@ -185,9 +185,10 @@ def table8_battery_iterations():
             if not spec.supports(width, width):
                 row += ["", ""]
                 continue
-            program = build_benchmark(name, width, width)
             for program_specific in (False, True):
-                metrics = evaluate_system(program, program_specific=program_specific)
+                metrics = benchmark_system(
+                    name, width, width, program_specific=program_specific
+                )
                 row.append(int(REFERENCE_BUDGET_J // metrics.total_energy))
         rows.append(tuple(row))
     return headers, rows

@@ -58,16 +58,18 @@ __all__ = [
 def clear_caches() -> None:
     """Clear the in-memory evaluation memos (not the on-disk cache).
 
-    Resets the elaboration memo (``generate_core``), the sweep
-    evaluation cache (``dse.sweep``), and the system report cache
-    (``eval.system``) so benchmarks can measure cold-start costs and
-    tests can isolate cache behaviour.  Imports lazily: the memos live
-    in heavier modules this package must not pull in at import time.
+    Resets the elaboration memo (``generate_core``), the per-(core,
+    technology) analysis and sweep evaluation memos (``dse.sweep``),
+    and the benchmark run memo (``eval.system``) so benchmarks can
+    measure cold-start costs and tests can isolate cache behaviour.
+    Imports lazily: the memos live in heavier modules this package must
+    not pull in at import time.
     """
     from repro.coregen.generator import _generate_core
-    from repro.dse.sweep import _evaluate_design
-    from repro.eval.system import _core_reports
+    from repro.dse.sweep import _core_reports, _evaluate_design
+    from repro.eval.system import benchmark_run
 
     _generate_core.cache_clear()
-    _evaluate_design.cache_clear()
     _core_reports.cache_clear()
+    _evaluate_design.cache_clear()
+    benchmark_run.cache_clear()

@@ -97,7 +97,9 @@ def set_default_jobs(jobs: int | None) -> None:
 def resolve_jobs(jobs: int | None = None) -> int:
     """Effective worker count: explicit > default > ``REPRO_JOBS`` > 1.
 
-    Always 1 inside a pool worker (no nested process pools).
+    Always 1 inside a pool worker (no nested process pools).  Raises
+    :class:`ConfigError` for a count below 1, from any source, and for a
+    ``REPRO_JOBS`` that is not an integer.
     """
     if _IN_WORKER:
         return 1
@@ -113,8 +115,9 @@ def resolve_jobs(jobs: int | None = None) -> int:
             value = int(env)
         except ValueError:
             raise ConfigError(f"REPRO_JOBS must be an integer, got {env!r}")
-        if value >= 1:
-            return value
+        if value < 1:
+            raise ConfigError(f"REPRO_JOBS must be >= 1, got {value}")
+        return value
     return 1
 
 

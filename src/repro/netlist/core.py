@@ -115,6 +115,7 @@ class Netlist:
         are cheap to rebuild (they have their own on-disk artifact
         cache).  :func:`repro.netlist.nsim.numpy_netlist`,
         :func:`repro.netlist.sta.arrival_plan`,
+        :func:`repro.netlist.load.cell_kinds`,
         :func:`repro.mc.timing.timing_kernel` and
         :func:`repro.netlist.lanes.clock_schedule` cache index, delay
         and cone data that rebuild in milliseconds.  So the on-disk
@@ -123,8 +124,8 @@ class Netlist:
         """
         state = dict(self.__dict__)
         for memo in (
-            "_compiled_sim", "_numpy_sim", "_sta_plan", "_mc_timing",
-            "_clock_schedule",
+            "_compiled_sim", "_numpy_sim", "_sta_plan", "_cell_kinds",
+            "_mc_timing", "_clock_schedule",
         ):
             state.pop(memo, None)
         return state

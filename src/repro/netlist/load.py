@@ -25,15 +25,22 @@ The wire-blind estimate is the explicit ``rc=None`` mode of
 the arithmetic collapses bit-exactly to the historical fanout-only
 derate (pinned by ``tests/netlist/test_load.py``).  Placement-derived
 annotations come from :func:`repro.place.rc_annotation`.
+
+The wire-blind analyses share one technology-independent index per
+netlist, :func:`cell_kinds`: each instance's cell kind, whether it
+holds state, and the fanout load on its output net.  A technology then
+prices each cell kind once, not each instance.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from repro.netlist.core import Netlist
+import numpy as np
+
+from repro.netlist.core import Netlist, SEQUENTIAL_CELLS
 
 #: Default incremental delay per extra fanout load (dimensionless).
 #: Canonical home; :mod:`repro.netlist.sta` re-exports it.
@@ -55,6 +62,69 @@ def fanout_counts(netlist: Netlist) -> dict[int, int]:
 def fanout_derate(fanout: int, slope: float = DEFAULT_FANOUT_SLOPE) -> float:
     """Wire-blind delay derate: ``1 + slope * (fanout - 1)``, floored at 1."""
     return 1.0 + slope * max(0, fanout - 1)
+
+
+@dataclass(frozen=True)
+class CellKinds:
+    """One netlist's instances by cell kind, with their fanout loads.
+
+    Attributes:
+        names: Distinct cell names, in order of first use.
+        kind: Index into ``names`` of every instance, in instance order.
+        counts: Instances of each kind.
+        sequential: Whether each instance holds state.
+        loads: Sinks past the first on each instance's output net, so
+            ``1 + slope * loads`` is :func:`fanout_derate` per instance.
+    """
+
+    names: tuple[str, ...]
+    kind: np.ndarray
+    counts: tuple[int, ...]
+    sequential: np.ndarray
+    loads: np.ndarray
+
+    def spread(self, values: Sequence[float]) -> np.ndarray:
+        """One value per kind as one float per instance, instance order."""
+        return np.asarray(values, dtype=np.float64)[self.kind]
+
+
+def cell_kinds(netlist: Netlist) -> CellKinds:
+    """The :class:`CellKinds` of ``netlist``, memoized on it.
+
+    Like the other per-netlist plans, the memo is dropped when the
+    netlist is pickled (``Netlist.__getstate__``).
+    """
+    cached = getattr(netlist, "_cell_kinds", None)
+    if cached is not None:
+        return cached
+    index: dict[str, int] = {}
+    kind = np.array(
+        [index.setdefault(i.cell, len(index)) for i in netlist.instances],
+        dtype=np.intp,
+    )
+    names = tuple(index)
+    stateful = np.array([name in SEQUENTIAL_CELLS for name in names], dtype=bool)
+    fanouts = fanout_counts(netlist)
+    cached = netlist._cell_kinds = CellKinds(
+        names=names,
+        kind=kind,
+        counts=tuple(np.bincount(kind, minlength=len(names)).tolist()),
+        sequential=stateful[kind],
+        loads=np.array(
+            [max(0, fanouts.get(i.output, 1) - 1) for i in netlist.instances],
+            dtype=np.float64,
+        ),
+    )
+    return cached
+
+
+def ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right sum, bit-equal to adding the values one at a time.
+
+    ``np.sum`` adds pairwise and Python 3.12's ``sum`` compensates, so
+    either can differ from a running total in the last bit.
+    """
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 @dataclass(frozen=True)

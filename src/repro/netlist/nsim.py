@@ -57,7 +57,7 @@ is asserted across the whole Figure 7 sweep by
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,32 +163,40 @@ def topological_order(netlist: Netlist) -> list[Instance]:
     STA), the interpreted and compiled simulators, probes, the
     variation oracle and the placer.
     """
-    combinational = [i for i in netlist.instances if i.cell not in SEQUENTIAL_CELLS]
-    consumers: dict[int, list[Instance]] = defaultdict(list)
-    pending: dict[int, int] = {}
-    sources = {CONST0, CONST1}
+    source = bytearray(netlist.net_count)
+    source[CONST0] = source[CONST1] = 1
     for bus in netlist.inputs.values():
-        sources.update(bus.nets)
+        for net in bus.nets:
+            source[net] = 1
+    combinational: list[Instance] = []
     for instance in netlist.instances:
         if instance.cell in SEQUENTIAL_CELLS:
-            sources.add(instance.output)
-    for instance in combinational:
-        needed = 0
+            source[instance.output] = 1
+        else:
+            combinational.append(instance)
+    # Per net, the positions in ``combinational`` of its readers, once
+    # per input pin; per cell, its inputs not yet ordered.
+    consumers: list[list[int] | None] = [None] * netlist.net_count
+    pending = [0] * len(combinational)
+    for position, instance in enumerate(combinational):
         for net in instance.inputs:
-            if net not in sources:
-                consumers[net].append(instance)
-                needed += 1
-        pending[id(instance)] = needed
+            if not source[net]:
+                readers = consumers[net]
+                if readers is None:
+                    consumers[net] = [position]
+                else:
+                    readers.append(position)
+                pending[position] += 1
 
-    ready = deque(i for i in combinational if pending[id(i)] == 0)
+    ready = deque(p for p, count in enumerate(pending) if not count)
     ordered: list[Instance] = []
     while ready:
-        instance = ready.popleft()
+        instance = combinational[ready.popleft()]
         ordered.append(instance)
-        for consumer in consumers.get(instance.output, ()):
-            pending[id(consumer)] -= 1
-            if pending[id(consumer)] == 0:
-                ready.append(consumer)
+        for position in consumers[instance.output] or ():
+            pending[position] -= 1
+            if not pending[position]:
+                ready.append(position)
     if len(ordered) != len(combinational):
         raise TimingError(
             f"combinational loop: {len(combinational) - len(ordered)} cells unordered"
@@ -198,14 +206,13 @@ def topological_order(netlist: Netlist) -> list[Instance]:
 
 def _levelize(netlist: Netlist) -> list[list[Instance]]:
     """Group combinational instances by logic level, in topo order."""
-    level_of: dict[int, int] = {}
+    level_of = [-1] * netlist.net_count  # sources sit below level 0
     levels: list[list[Instance]] = []
     for inst in topological_order(netlist):
         level = 0
         for net in inst.inputs:
-            input_level = level_of.get(net)
-            if input_level is not None and input_level >= level:
-                level = input_level + 1
+            if level_of[net] >= level:
+                level = level_of[net] + 1
         level_of[inst.output] = level
         while len(levels) <= level:
             levels.append([])

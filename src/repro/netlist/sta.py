@@ -57,8 +57,8 @@ from repro.netlist.core import Netlist, SEQUENTIAL_CELLS
 from repro.netlist.load import (
     DEFAULT_FANOUT_SLOPE,
     RCAnnotation,
+    cell_kinds,
     fanout_counts,
-    fanout_derate,
     net_derate,
 )
 from repro.netlist.nsim import _GROUP, numpy_netlist
@@ -187,24 +187,35 @@ def cell_delays(
     fanout_slope: float = DEFAULT_FANOUT_SLOPE,
     rc: RCAnnotation | None = None,
 ) -> np.ndarray:
-    """Load-derated ``(rise, fall)`` delay per instance, ``(cells, 2)``."""
+    """Load-derated ``(rise, fall)`` delay per instance, ``(cells, 2)``.
+
+    Wire-blind, each cell kind is looked up once and derated per
+    instance through the netlist's :func:`~repro.netlist.load.cell_kinds`.
+    """
+    if rc is None:
+        kinds = cell_kinds(netlist)
+        cells = [library.cell(name) for name in kinds.names]
+        table = np.array(
+            [(cell.rise_delay, cell.fall_delay) for cell in cells],
+            dtype=np.float64,
+        ).reshape(-1, 2)
+        derate = 1.0 + fanout_slope * kinds.loads
+        return table[kinds.kind] * derate[:, None]
     fanouts = fanout_counts(netlist)
     input_cap = library.input_capacitance
     delays = []
     for instance in netlist.instances:
         cell = library.cell(instance.cell)
-        fanout = fanouts.get(instance.output, 1)
-        if rc is None:
-            derate = fanout_derate(fanout, fanout_slope)
-            delays.append((cell.rise_delay * derate, cell.fall_delay * derate))
-        else:
-            derate = net_derate(
-                fanout, rc.capacitance(instance.output), input_cap, fanout_slope
-            )
-            wire = rc.wire_delay(instance.output)
-            delays.append(
-                (cell.rise_delay * derate + wire, cell.fall_delay * derate + wire)
-            )
+        derate = net_derate(
+            fanouts.get(instance.output, 1),
+            rc.capacitance(instance.output),
+            input_cap,
+            fanout_slope,
+        )
+        wire = rc.wire_delay(instance.output)
+        delays.append(
+            (cell.rise_delay * derate + wire, cell.fall_delay * derate + wire)
+        )
     return np.array(delays, dtype=np.float64).reshape(-1, 2)
 
 

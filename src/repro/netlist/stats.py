@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.netlist.core import Netlist, SEQUENTIAL_CELLS
+from repro.netlist.core import Netlist
+from repro.netlist.load import cell_kinds, ordered_sum
 from repro.pdk.cells import CellLibrary
 
 #: Input-pin count per supported cell (validation + simulation order).
@@ -64,29 +65,21 @@ def cell_histogram(netlist: Netlist) -> Counter[str]:
 
 
 def area_report(netlist: Netlist, library: CellLibrary) -> AreaReport:
-    """Compute the area/composition report of ``netlist`` in ``library``."""
-    total = 0.0
-    combinational = 0.0
-    sequential = 0.0
-    dff_count = 0
-    transistors = 0
-    resistors = 0
-    for instance in netlist.instances:
-        cell = library.cell(instance.cell)
-        total += cell.area
-        transistors += cell.transistors
-        resistors += cell.resistors
-        if instance.cell in SEQUENTIAL_CELLS:
-            sequential += cell.area
-            dff_count += 1
-        else:
-            combinational += cell.area
+    """Compute the area/composition report of ``netlist`` in ``library``.
+
+    Each cell kind is looked up once (:func:`repro.netlist.load.cell_kinds`);
+    the areas still add up in instance order.
+    """
+    kinds = cell_kinds(netlist)
+    cells = [library.cell(name) for name in kinds.names]
+    area = kinds.spread([cell.area for cell in cells])
+    sequential = kinds.sequential
     return AreaReport(
-        total=total,
-        combinational=combinational,
-        sequential=sequential,
+        total=ordered_sum(area),
+        combinational=ordered_sum(area[~sequential]),
+        sequential=ordered_sum(area[sequential]),
         gate_count=len(netlist.instances),
-        dff_count=dff_count,
-        transistors=transistors,
-        resistors=resistors,
+        dff_count=int(sequential.sum()),
+        transistors=sum(c.transistors * n for c, n in zip(cells, kinds.counts)),
+        resistors=sum(c.resistors * n for c, n in zip(cells, kinds.counts)),
     )

@@ -311,11 +311,18 @@ def render_dashboard(records: Sequence[dict], title: str = "repro telemetry") ->
 
 
 def write_dashboard(
-    path, records: Sequence[dict] | None = None, ledger=None
+    path,
+    records: Sequence[dict] | None = None,
+    ledger=None,
+    title: str = "repro telemetry",
 ) -> Path:
-    """Render the ledger (or ``records``) to ``path``; returns the path."""
+    """Render the ledger (or ``records``) to ``path``; returns the path.
+
+    Missing parent directories of ``path`` are created.
+    """
     if records is None:
         records = _history.read_ledger(ledger)
     path = Path(path)
-    path.write_text(render_dashboard(records))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(render_dashboard(records, title=title))
     return path

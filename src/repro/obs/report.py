@@ -189,6 +189,8 @@ def dump_report_json(report: dict, compact: bool = False) -> str:
 def write_run_report(path, report: dict, compact: bool = False) -> Path:
     """Serialize ``report`` to ``path``; feed the cross-run ledger.
 
+    Missing parent directories of ``path`` are created.
+
     Every emission appends one compact record to the history ledger
     (:mod:`repro.obs.history`) and carries the record id back in the
     report's ``history_ref`` -- unless ``REPRO_HISTORY=0``, in which
@@ -201,6 +203,7 @@ def write_run_report(path, report: dict, compact: bool = False) -> Path:
     if record_id is not None:
         report["history_ref"] = record_id
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(dump_report_json(report, compact=compact))
     if _live.ACTIVE is not None:
         _live.publish(

@@ -38,6 +38,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.obs import live
 from repro.obs.runtime import STATE
@@ -60,6 +61,13 @@ def set_trace_id(trace_id: str | None) -> None:
 def current_trace_id() -> str | None:
     """This thread's trace id, or ``None`` when unset."""
     return getattr(_TRACE_LOCAL, "trace_id", None)
+
+
+def _create(path):
+    """``open(path, "w")``, creating missing parent directories first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w")
 
 
 def _epoch_us(perf_now: float) -> float:
@@ -328,7 +336,7 @@ class Tracer:
     def export_jsonl(self, path) -> int:
         """Write one Chrome-trace event per line; returns event count."""
         events = self.events()
-        with open(path, "w") as handle:
+        with _create(path) as handle:
             for event in events:
                 handle.write(json.dumps(event.to_chrome()) + "\n")
         return len(events)
@@ -336,7 +344,7 @@ class Tracer:
     def export_json(self, path) -> int:
         """Write a JSON-array Chrome trace (loads directly in Perfetto)."""
         events = self.events()
-        with open(path, "w") as handle:
+        with _create(path) as handle:
             handle.write("[\n")
             for index, event in enumerate(events):
                 comma = "," if index + 1 < len(events) else ""

@@ -73,6 +73,12 @@ class TestResolveJobs:
         with pytest.raises(ConfigError):
             resolve_jobs()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_below_one_raises(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ConfigError, match="REPRO_JOBS must be >= 1"):
+            resolve_jobs()
+
     def test_invalid_explicit_raises(self):
         with pytest.raises(ConfigError):
             resolve_jobs(0)

@@ -11,20 +11,26 @@ sweep configurations in both technologies.  Any drift here is a silent
 PPA change and must fail loudly.
 """
 
+import pickle
+
+import numpy as np
 import pytest
 
-from repro.coregen.config import standard_sweep
+from repro.coregen.config import CoreConfig, standard_sweep
 from repro.coregen.generator import generate_core
+from repro.netlist.core import SEQUENTIAL_CELLS
 from repro.netlist.load import (
     DEFAULT_FANOUT_SLOPE,
     RCAnnotation,
     WireRC,
+    cell_kinds,
     fanout_counts,
     fanout_derate,
     net_derate,
 )
-from repro.netlist.power import power_report
-from repro.netlist.sta import timing_report
+from repro.netlist.power import PAPER_ACTIVITY_FACTOR, power_report
+from repro.netlist.sta import cell_delays, timing_report
+from repro.netlist.stats import area_report
 from repro.pdk import technology_library
 
 # (critical_path_delay s, energy_per_cycle J) with rc=None, recorded
@@ -139,3 +145,56 @@ def test_wire_blind_ppa_is_pinned_bit_exact(technology):
         power = power_report(netlist, library, rc=None)
         expected = PINNED_WIRE_BLIND[(config.name, technology)]
         assert (timing.critical_path_delay, power.energy_per_cycle) == expected
+
+
+@pytest.mark.parametrize("technology", ("EGFET", "CNT"))
+def test_wire_blind_analyses_equal_the_per_instance_formulas(technology):
+    """One lookup per cell kind; every value still equals, with ``==``,
+    the formula applied instance by instance and summed in order."""
+    library = technology_library(technology)
+    for config in standard_sweep():
+        netlist = generate_core(config)
+        fanouts = fanout_counts(netlist)
+        delays = []
+        total = combinational = sequential = 0.0
+        energy = {False: 0.0, True: 0.0}
+        transistors = resistors = flops = 0
+        for instance in netlist.instances:
+            cell = library.cell(instance.cell)
+            derate = fanout_derate(fanouts.get(instance.output, 1))
+            delays.append((cell.rise_delay * derate, cell.fall_delay * derate))
+            stateful = instance.cell in SEQUENTIAL_CELLS
+            total += cell.area
+            if stateful:
+                sequential += cell.area
+                flops += 1
+            else:
+                combinational += cell.area
+            energy[stateful] += cell.energy * PAPER_ACTIVITY_FACTOR
+            transistors += cell.transistors
+            resistors += cell.resistors
+        assert np.array_equal(cell_delays(netlist, library), np.array(delays))
+        area = area_report(netlist, library)
+        assert (area.total, area.combinational, area.sequential) == (
+            total, combinational, sequential
+        )
+        assert (area.dff_count, area.transistors, area.resistors) == (
+            flops, transistors, resistors
+        )
+        power = power_report(netlist, library)
+        assert (power.combinational_energy, power.sequential_energy) == (
+            energy[False], energy[True]
+        )
+        assert power.energy_per_cycle == energy[False] + energy[True]
+
+
+def test_cell_kinds_memoized_and_dropped_on_pickle():
+    netlist = generate_core(CoreConfig(datawidth=8))
+    kinds = cell_kinds(netlist)
+    assert cell_kinds(netlist) is kinds
+    assert sum(kinds.counts) == len(netlist.instances)
+    assert [kinds.names[k] for k in kinds.kind] == [
+        i.cell for i in netlist.instances
+    ]
+    clone = pickle.loads(pickle.dumps(netlist))
+    assert not hasattr(clone, "_cell_kinds")

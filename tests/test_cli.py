@@ -154,7 +154,7 @@ class TestSameOptions:
         "argv, defaults", DEFAULTS, ids=[" ".join(a) for a, _ in DEFAULTS]
     )
     def test_defaults_unchanged(self, argv, defaults, monkeypatch):
-        for option in SERVE_OPTIONS:
+        for option in (*SERVE_OPTIONS, cli.JOBS):
             if option.env:
                 monkeypatch.delenv(option.env, raising=False)
         command = argv[0] if argv and argv[0] in SPECS else ""
@@ -267,6 +267,22 @@ def test_bad_env_value_names_the_variable(monkeypatch, capsys):
     code, _, err = _run(["serve"], capsys)
     assert code == 2
     assert "REPRO_SERVE_PORT" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+@pytest.mark.parametrize("argv", [["fig7"], ["yield", "p1_8_2"], ["verify"]])
+def test_bad_repro_jobs_exits_2_naming_it(argv, value, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_JOBS", value)
+    code, _, err = _run(argv, capsys)
+    assert code == 2
+    assert "REPRO_JOBS" in err
+    assert "Traceback" not in err
+
+
+def test_repro_jobs_sets_the_jobs_default(monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "3")
+    assert cli.parse("", TABLE_OPTIONS, ["fig7"]).jobs == 3
+    assert cli.parse("", TABLE_OPTIONS, ["--jobs", "2", "fig7"]).jobs == 2
 
 
 _JUNK = st.sampled_from([
