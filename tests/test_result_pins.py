@@ -28,11 +28,15 @@ the results themselves at default inputs:
 * ``suite``: every :class:`~repro.eval.system.SystemMetrics` field of
   the Figure 8 suite cells and the dTree-ROMopt pair per technology
   (integers exact, floats at 12 significant digits: ROM sizing goes
-  through ``math.log2``), and the Table 8 battery-iteration rows.
+  through ``math.log2``), and the Table 8 battery-iteration rows;
+* ``netlists``: for each of the 40 cores a ``paper_dse`` pass loads
+  (the 24 sweep cores and the 16 program-specific suite cores), a
+  SHA-256 of the output nets in ``topological_order``, of every cell's
+  logic level (-1 for sequential cells) and of the numpy row layout.
 
 A change that alters a pinned result re-records the computed sections
 on purpose (``PYTHONPATH=src python -m tests.test_result_pins designs
-placement yield campaigns toggles iss suite``) and says which entries
+placement yield campaigns toggles iss suite netlists``) and says which entries
 moved.  An unknown section name lists the valid ones and exits 2.
 """
 
@@ -55,8 +59,10 @@ from repro.coregen.generator import generate_core
 from repro.dse.sweep import DesignPoint, evaluate_design
 from repro.eval.figures import FIG8_CORES, fig8_benchmark, fig8_dtree_romopt
 from repro.eval.suite import suite_grid
+from repro.eval.system import benchmark_run
 from repro.eval.tables import table8_battery_iterations
 from repro.mc import YieldSpec, run_yield_campaign
+from repro.netlist.nsim import compile_numpy_netlist, topological_order
 from repro.netlist.sta import timing_report
 from repro.pdk import technology_library
 from repro.place import named_fabric, place, rc_annotation
@@ -283,6 +289,47 @@ def suite_pin(name: str) -> list:
     return _rows(fig8_benchmark(*SUITE_CELLS[name]))
 
 
+def _netlist_cores() -> dict:
+    """``<name>`` -> config of every core a ``paper_dse`` pass analyses:
+    the sweep cores by name, then each distinct program-specific core
+    of the suite cells as ``<benchmark><kernel width>_ps``."""
+    cores = {config: config.name for config in standard_sweep()}
+    for name, kernel_width, _ in suite_grid():
+        if BENCHMARKS[name].supports(kernel_width, kernel_width):
+            config = benchmark_run(name, kernel_width, kernel_width).specific_config
+            cores.setdefault(config, f"{name}{kernel_width}_ps")
+    return {name: config for config, name in cores.items()}
+
+
+NETLIST_CORES = _netlist_cores()
+
+
+def _ints_digest(values) -> str:
+    return _sha256(",".join(str(int(value)) for value in values).encode())
+
+
+def netlist_pin(name: str) -> dict:
+    """Order, levels and numpy row layout of one core's netlist."""
+    netlist = generate_core(NETLIST_CORES[name])
+    order = topological_order(netlist)
+    level_of = [-1] * netlist.net_count  # sources sit below level 0
+    for instance in order:
+        level_of[instance.output] = 1 + max(level_of[net] for net in instance.inputs)
+    comb = {instance.output for instance in order}
+    layout = compile_numpy_netlist(netlist).layout
+    rows = [layout.row_of[net] for net in range(netlist.net_count)]
+    rows += [layout.rows, layout.source_rows]
+    rows += [bound for level in layout.level_slices for bound in level]
+    return {
+        "order": _ints_digest(instance.output for instance in order),
+        "levels": _ints_digest(
+            level_of[i.output] if i.output in comb else -1
+            for i in netlist.instances
+        ),
+        "rows": _ints_digest(rows),
+    }
+
+
 SUITE_ENTRIES = [
     *SUITE_CELLS,
     *(f"dTree-ROMopt@{technology}" for technology in TECHNOLOGIES),
@@ -338,6 +385,11 @@ def test_suite_cell_matches_pin(name):
     )
 
 
+@pytest.mark.parametrize("name", NETLIST_CORES)
+def test_netlist_structure_matches_pin(name):
+    assert netlist_pin(name) == PINS["netlists"][name]
+
+
 def test_unknown_section_lists_the_valid_ones():
     root = Path(__file__).parent.parent
     done = subprocess.run(
@@ -360,6 +412,7 @@ SECTIONS = {
     "toggles": lambda: {run: toggle_pin(run) for run in TOGGLE_RUNS},
     "iss": lambda: {name: iss_pin(name) for name in ISS_RUNS},
     "suite": lambda: {name: suite_pin(name) for name in SUITE_ENTRIES},
+    "netlists": lambda: {name: netlist_pin(name) for name in NETLIST_CORES},
 }
 
 
