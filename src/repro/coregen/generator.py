@@ -258,8 +258,9 @@ def _bus_equal(n: Netlist, a: list[int], b: list[int]) -> int:
 def generate_core(config: CoreConfig, cse: bool = True) -> Netlist:
     """Generate the gate-level netlist for ``config``.
 
-    The returned netlist is validated and ready for STA, power, area
-    analysis, Verilog dump, or cycle simulation.  ``cse=False``
+    The returned netlist is frozen (validated, ordered and levelized
+    once) and ready for STA, power, area analysis, Verilog dump, or
+    cycle simulation.  ``cse=False``
     disables common-subexpression elimination (ablation of the
     builder's stand-in for logic optimization).
 
@@ -289,9 +290,11 @@ def _generate_core(config: CoreConfig, cse: bool) -> Netlist:
     # instead of re-running elaboration.  The key digests the config
     # and every module whose source shapes the netlist, so code edits
     # invalidate automatically.
+    # Unpickling runs the netlist's load check; an entry that fails it,
+    # or holds no netlist, is dropped like an unreadable one.
     key = f"{config!r};cse={cse};" + source_digest(*_ELABORATION_SOURCES)
-    netlist = load_artifact(_ARTIFACT_KIND, key)
-    if isinstance(netlist, Netlist):
+    netlist = load_artifact(_ARTIFACT_KIND, key, Netlist)
+    if netlist is not None:
         _DISK_HITS.inc()
         return netlist
     with _obs_span("elaborate", design=config.name, cse=cse):
@@ -432,5 +435,5 @@ def _elaborate(config: CoreConfig, cse: bool) -> Netlist:
         flops.drive(pc_q, mux_bus(n, stall, pc_next.nets, pc_q).nets)
 
     flops.finalize()
-    n.validate()
+    n.freeze()
     return n

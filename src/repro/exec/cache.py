@@ -22,8 +22,9 @@ Layout and invariants:
   destination directory and ``os.replace``d into place, so concurrent
   writers race benignly (last complete write wins, readers never see a
   torn file).
-* **Corruption recovery** -- an unreadable or unpicklable entry is
-  deleted and reported as a miss; the caller simply recomputes.
+* **Corruption recovery** -- an unreadable or unpicklable entry, or one
+  that holds the wrong type, is deleted and reported as a miss; the
+  caller simply recomputes.
 * **Best effort** -- any filesystem error degrades to cache-off
   behaviour rather than failing the computation.
 
@@ -109,26 +110,26 @@ def structural_hash(netlist) -> str:
 
     Two netlists with the same hash compile to identical simulation
     code: the hash covers net count, the reset net, every port bus,
-    and every instance's (cell, input nets, output net) -- but not the
-    design *name*, so structurally identical designs share artifacts.
-    Memoized on the netlist object (the structure is immutable once
-    elaborated).
+    and the frozen cell arrays -- every cell's kind, input nets and
+    output net -- but not the design *name*, so structurally identical
+    designs share artifacts.  Memoized on the netlist object (a frozen
+    netlist is immutable).
     """
     cached = getattr(netlist, "_structural_hash", None)
     if cached is not None:
         return cached
+    from repro.netlist.core import CELL_NAMES
+
+    cells = netlist.cells
     digest = hashlib.sha256()
     digest.update(f"{netlist.net_count};{netlist.reset_n};".encode())
     for name in sorted(netlist.inputs):
         digest.update(f"i:{name}:{tuple(netlist.inputs[name].nets)};".encode())
     for name in sorted(netlist.outputs):
         digest.update(f"o:{name}:{tuple(netlist.outputs[name].nets)};".encode())
-    digest.update(
-        ";".join(
-            f"{inst.cell}:{inst.inputs}:{inst.output}"
-            for inst in netlist.instances
-        ).encode()
-    )
+    digest.update(f"{';'.join(CELL_NAMES)};".encode())
+    for array in (cells.kind, cells.inputs, cells.output):
+        digest.update(array.tobytes())
     value = digest.hexdigest()
     netlist._structural_hash = value
     return value
@@ -140,11 +141,14 @@ def artifact_path(kind: str, key: str) -> Path:
     return cache_root() / kind / f"{digest}.pkl"
 
 
-def load_artifact(kind: str, key: str):
+def load_artifact(kind: str, key: str, expect: type = object):
     """Fetch one artifact, or ``None`` on miss/corruption/disabled.
 
-    A corrupt entry (unreadable pickle) is deleted so the follow-up
-    :func:`store_artifact` replaces it with a good one.
+    A corrupt entry -- one whose unpickling raises (including a load
+    check an object runs in ``__setstate__``) or that is not an
+    ``expect`` instance -- is deleted and counted in
+    ``exec.cache_corrupt``, so the follow-up :func:`store_artifact`
+    replaces it with a good one.
     """
     if not cache_enabled():
         return None
@@ -156,6 +160,8 @@ def load_artifact(kind: str, key: str):
         return None
     try:
         artifact = pickle.loads(payload)
+        if not isinstance(artifact, expect):
+            raise TypeError(f"{kind} artifact holds a {type(artifact).__name__}")
     except Exception:
         _CORRUPT.inc()
         _MISSES.inc()

@@ -36,6 +36,7 @@ import numpy as np
 from repro.coregen.fault_test import lane_signatures
 from repro.errors import PDKError
 from repro.netlist.core import Netlist
+from repro.netlist.load import cell_kinds
 from repro.netlist.faults import StuckAtFault
 from repro.pdk.cells import CellLibrary
 
@@ -54,12 +55,12 @@ def defect_probabilities(
     """Per-instance failure probability ``1 - y^devices``."""
     if not 0.0 < device_yield <= 1.0:
         raise PDKError(f"device yield {device_yield} out of (0, 1]")
-    devices = np.array(
+    kinds = cell_kinds(netlist)
+    devices = kinds.spread(
         [
-            library.cell(i.cell).transistors + library.cell(i.cell).resistors
-            for i in netlist.instances
-        ],
-        dtype=np.float64,
+            library.cell(name).transistors + library.cell(name).resistors
+            for name in kinds.names
+        ]
     )
     return 1.0 - device_yield**devices
 

@@ -59,9 +59,11 @@ import marshal
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.errors import SimulationError, UnsupportedInLaneMode
 from repro.exec.cache import load_artifact, source_digest, store_artifact, structural_hash
-from repro.netlist.core import CONST1, Instance, Netlist, SEQUENTIAL_CELLS
+from repro.netlist.core import CONST1, Instance, Netlist
 from repro.netlist.lanes import LanePlan
 from repro.netlist.nsim import topological_order
 from repro.obs.metrics import counter as _obs_counter
@@ -127,14 +129,12 @@ def _expression(instance: Instance) -> str:
 def compile_netlist(netlist: Netlist) -> CompiledNetlist:
     """Translate ``netlist`` into compiled straight-line simulation code.
 
-    The netlist must be simulatable (validated, no latches); net ids
-    index the flat value table directly, so the caller's value list
-    must have ``netlist.net_count`` entries.
+    The netlist must be simulatable (it is frozen, hence validated, on
+    first use; no latches); net ids index the flat value table
+    directly, so the caller's value list must have
+    ``netlist.net_count`` entries.
     """
-    netlist.validate()
-    for instance in netlist.instances:
-        if instance.cell == "LATCHX1":
-            raise SimulationError("level-sensitive latches are not simulatable")
+    netlist.cells.refuse_latches()
     source = _generate_source(netlist)
     code = compile(source, f"<compiled:{netlist.name}>", "exec")
     return _bind(code, source)
@@ -143,8 +143,9 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
 def _generate_source(netlist: Netlist) -> str:
     """Emit the four straight-line functions as Python source."""
     order = topological_order(netlist)
-    position = {inst.output: n for n, inst in enumerate(netlist.instances)}
-    flops = [i for i in netlist.instances if i.cell in SEQUENTIAL_CELLS]
+    position = netlist.cells.order.tolist()
+    flop_index = np.flatnonzero(netlist.cells.sequential).tolist()
+    flops = [netlist.instances[k] for k in flop_index]
     comb_outputs = {inst.output for inst in order}
     sources = sorted(
         {net for inst in order for net in inst.inputs} - comb_outputs
@@ -184,8 +185,7 @@ def _generate_source(netlist: Netlist) -> str:
     # before the first tick), then a simultaneous flop capture with
     # async reset and per-flop toggle counting.
     lines.append("def tick(V, P, T, resetting):")
-    for inst in order:
-        k = position[inst.output]
+    for inst, k in zip(order, position):
         lines.append(f"    p = P[{k}]")
         lines.append(f"    x = V[{inst.output}]")
         lines.append("    if p != x:")
@@ -198,8 +198,7 @@ def _generate_source(netlist: Netlist) -> str:
         lines.append("    if resetting:")
         for j in reset_flops:
             lines.append(f"        d{j} = 0")
-    for j, flop in enumerate(flops):
-        k = position[flop.output]
+    for j, (flop, k) in enumerate(zip(flops, flop_index)):
         lines.append(f"    if V[{flop.output}] != d{j}:")
         lines.append(f"        T[{k}] += 1")
         lines.append(f"        V[{flop.output}] = d{j}")
@@ -257,9 +256,9 @@ def _bind(code, source: str) -> CompiledNetlist:
 
 
 def _artifact_key(netlist: Netlist) -> str:
-    """Disk-cache key: structure + the compiler/levelizer source digest."""
+    """Disk-cache key: structure + the compiler/orderer source digest."""
     return structural_hash(netlist) + source_digest(
-        "repro.netlist.compile", "repro.netlist.nsim"
+        "repro.netlist.compile", "repro.netlist.nsim", "repro.netlist.core"
     )
 
 

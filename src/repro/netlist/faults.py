@@ -55,7 +55,7 @@ class FaultySimulator(CycleSimulator):
         if not 0 <= fault.instance_index < len(netlist.instances):
             raise SimulationError(f"no instance {fault.instance_index}")
         self.fault = fault
-        self._fault_net = netlist.instances[fault.instance_index].output
+        self._fault_net = int(netlist.cells.output[fault.instance_index])
         self._force_and: list[int] | None = None
         self._force_or: list[int] | None = None
         if self._compiled is not None:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import SimulationError
-from repro.netlist.core import SEQUENTIAL_CELLS, Instance, Netlist
+from repro.netlist.core import Instance, Netlist
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,12 @@ class LanePlan:
         forced: dict[int, list[tuple[int, int]]] = {}
         if not self.has_forces:
             return forced
+        outputs = netlist.cells.output
         for lane, entry in enumerate(self.faults):
             for fault in self._lane_faults(entry):
-                if not 0 <= fault.instance_index < len(netlist.instances):
+                if not 0 <= fault.instance_index < len(outputs):
                     raise SimulationError(f"no instance {fault.instance_index}")
-                net = netlist.instances[fault.instance_index].output
+                net = int(outputs[fault.instance_index])
                 forced.setdefault(net, []).append((lane, fault.stuck_value))
         return forced
 
@@ -199,32 +200,46 @@ def clock_schedule(netlist: Netlist) -> ClockSchedule:
     cached = getattr(netlist, "_clock_schedule", None)
     if cached is not None:
         return cached
-    from repro.netlist.nsim import topological_order  # nsim imports LanePlan
-
+    cells = netlist.cells
+    fanin = (
+        cells.driver.tolist(), cells.sequential.tolist(), cells.inputs.tolist()
+    )
     input_of = {net: name for name, bus in netlist.inputs.items() for net in bus}
     rdata = ("rdata_a", "rdata_b")
-    if _cone(netlist, "pc", ("instr", *rdata), input_of):
+    if _cone(netlist, fanin, "pc", ("instr", *rdata), input_of):
         raise SimulationError(
             "output 'pc' must come straight from flops: the clock reads "
             "it unsettled, right after the edge"
         )
-    address = _cone(netlist, "addr_a", rdata, input_of)
-    address |= _cone(netlist, "addr_b", rdata, input_of)
+    address = _cone(netlist, fanin, "addr_a", rdata, input_of)
+    address |= _cone(netlist, fanin, "addr_b", rdata, input_of)
+    instances = netlist.instances
     cached = netlist._clock_schedule = ClockSchedule(
-        tuple(i for i in topological_order(netlist) if i.output in address)
+        tuple(
+            instances[cell]
+            for cell in cells.order.tolist()
+            if instances[cell].output in address
+        )
     )
     return cached
 
 
 def _cone(
-    netlist: Netlist, output: str, later: tuple[str, ...], input_of: dict
+    netlist: Netlist,
+    fanin: tuple[list, list, list],
+    output: str,
+    later: tuple[str, ...],
+    input_of: dict,
 ) -> set[int]:
     """Output nets of the combinational cells in ``output``'s fan-in.
 
-    The walk stops at flops, constants and primary inputs, and raises
-    if it reaches an input in ``later`` -- one the clock provides after
-    reading ``output``.
+    ``fanin`` holds the netlist's cell arrays as lists: the driving
+    cell of each net, whether each cell holds state, and each cell's
+    input pins.  The walk stops at flops, constants and primary inputs,
+    and raises if it reaches an input in ``later`` -- one the clock
+    provides after reading ``output``.
     """
+    driver, sequential, pins = fanin
     bus = netlist.outputs.get(output)
     if bus is None:
         raise SimulationError(f"no output bus named {output!r}")
@@ -238,11 +253,11 @@ def _cone(
                 f"{input_of[net]!r}, which the clock provides after "
                 f"reading {output!r}"
             )
-        driver = netlist.driver_of(net)
-        if driver is None or driver.cell in SEQUENTIAL_CELLS or net in cone:
+        cell = driver[net]
+        if cell < 0 or sequential[cell] or net in cone:
             continue
         cone.add(net)
-        stack.extend(driver.inputs)
+        stack.extend(pin for pin in pins[cell] if pin >= 0)
     return cone
 
 

@@ -28,35 +28,31 @@ annotations come from :func:`repro.place.rc_annotation`.
 
 The wire-blind analyses share one technology-independent index per
 netlist, :func:`cell_kinds`: each instance's cell kind, whether it
-holds state, and the fanout load on its output net.  A technology then
-prices each cell kind once, not each instance.
+holds state, and the fanout load on its output net, derived from the
+netlist's frozen cell arrays.  A technology then prices each cell kind
+once, not each instance.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.netlist.core import Netlist, SEQUENTIAL_CELLS
+from repro.netlist.core import CELL_NAMES, Netlist
 
 #: Default incremental delay per extra fanout load (dimensionless).
 #: Canonical home; :mod:`repro.netlist.sta` re-exports it.
 DEFAULT_FANOUT_SLOPE = 0.05
 
 
-def fanout_counts(netlist: Netlist) -> dict[int, int]:
-    """Sink count per net: instance input pins plus primary outputs."""
-    counts: dict[int, int] = defaultdict(int)
-    for instance in netlist.instances:
-        for net in instance.inputs:
-            counts[net] += 1
-    for bus in netlist.outputs.values():
-        for net in bus:
-            counts[net] += 1
-    return counts
+def fanout_counts(netlist: Netlist) -> np.ndarray:
+    """Sink count of every net id: instance input pins plus primary outputs."""
+    inputs = netlist.cells.inputs
+    ports = [net for bus in netlist.outputs.values() for net in bus]
+    sinks = np.concatenate((inputs[inputs >= 0], np.array(ports, dtype=np.int32)))
+    return np.bincount(sinks, minlength=netlist.net_count)
 
 
 def fanout_derate(fanout: int, slope: float = DEFAULT_FANOUT_SLOPE) -> float:
@@ -97,23 +93,18 @@ def cell_kinds(netlist: Netlist) -> CellKinds:
     cached = getattr(netlist, "_cell_kinds", None)
     if cached is not None:
         return cached
-    index: dict[str, int] = {}
-    kind = np.array(
-        [index.setdefault(i.cell, len(index)) for i in netlist.instances],
-        dtype=np.intp,
-    )
-    names = tuple(index)
-    stateful = np.array([name in SEQUENTIAL_CELLS for name in names], dtype=bool)
-    fanouts = fanout_counts(netlist)
+    cells = netlist.cells
+    codes, first = np.unique(cells.kind, return_index=True)
+    used = codes[np.argsort(first)]  # kind codes in order of first use
+    index = np.zeros(len(CELL_NAMES), dtype=np.intp)
+    index[used] = np.arange(len(used))
+    kind = index[cells.kind]
     cached = netlist._cell_kinds = CellKinds(
-        names=names,
+        names=tuple(CELL_NAMES[code] for code in used.tolist()),
         kind=kind,
-        counts=tuple(np.bincount(kind, minlength=len(names)).tolist()),
-        sequential=stateful[kind],
-        loads=np.array(
-            [max(0, fanouts.get(i.output, 1) - 1) for i in netlist.instances],
-            dtype=np.float64,
-        ),
+        counts=tuple(np.bincount(kind, minlength=len(used)).tolist()),
+        sequential=cells.sequential,
+        loads=np.maximum(fanout_counts(netlist)[cells.output] - 1, 0).astype(np.float64),
     )
     return cached
 

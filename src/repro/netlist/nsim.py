@@ -43,8 +43,10 @@ ANDs the reset flops' rows with ``rst_n`` (per-lane asynchronous
 reset), then stores all Q rows -- the simultaneous-capture semantics of
 the scalar backends.
 
-The plans are memoized on the netlist; they rebuild in milliseconds,
-so they are neither pickled nor cached on disk.
+The plans derive from the netlist's frozen cell arrays
+(:class:`~repro.netlist.core.CellArrays`: the stored order and levels)
+with a few vectorized passes, so they are memoized on the netlist but
+neither pickled nor cached on disk.
 
 Like the bigint lane mode, no per-instance toggle counters are kept:
 :meth:`NumpySimulator.toggle_counts` raises
@@ -56,15 +58,13 @@ is asserted across the whole Figure 7 sweep by
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.errors import SimulationError, TimingError, UnsupportedInLaneMode
-from repro.netlist.core import CONST0, CONST1, Instance, Netlist, SEQUENTIAL_CELLS
+from repro.errors import SimulationError, UnsupportedInLaneMode
+from repro.netlist.core import CELL_NAMES, CONST0, CONST1, Instance, Netlist
 from repro.netlist.lanes import LanePlan
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.runtime import STATE as _OBS
@@ -86,6 +86,11 @@ _GROUP = {
     "AND2X1": 0, "TSBUFX1": 0, "NAND2X1": 1, "INVX1": 1,
     "NOR2X1": 2, "OR2X1": 3, "XOR2X1": 4, "XNOR2X1": 5,
 }
+#: Ufunc group per cell kind code; 7 (past every group) for the
+#: sequential cells, which get no logic row.
+_GROUP_OF_CODE = np.array([_GROUP.get(name, 7) for name in CELL_NAMES], dtype=np.int64)
+_GROUP_BOUNDS = np.arange(7)
+
 #: ``(ufunc, first group, end group)``: the three ufunc row runs.
 _UFUNC_RUNS = (
     (np.bitwise_and, 0, 2), (np.bitwise_or, 2, 4), (np.bitwise_xor, 4, 6),
@@ -99,7 +104,7 @@ class NumpyLayout:
     """Levelized row layout of one netlist's value matrix.
 
     Attributes:
-        row_of: Net id -> row index in the value matrix.
+        row_of: Row index in the value matrix of every net id.
         rows: Total row count (== ``netlist.net_count``).
         source_rows: Rows ``[0, source_rows)`` hold source nets
             (constants, primary inputs, flop outputs); unused nets are
@@ -108,7 +113,7 @@ class NumpyLayout:
             level, in dependency order.
     """
 
-    row_of: dict[int, int]
+    row_of: np.ndarray
     rows: int
     source_rows: int
     level_slices: tuple[tuple[int, int], ...]
@@ -155,144 +160,82 @@ class NumpyCompiled:
 
 
 def topological_order(netlist: Netlist) -> list[Instance]:
-    """Topologically sort combinational instances.
+    """The combinational instances in the netlist's stored order.
 
-    Sequential outputs, ports, and constants are sources.  A cycle
-    through combinational cells raises :class:`TimingError`.  The one
-    order every netlist walk uses: the levelizer below (and through it
-    STA), the interpreted and compiled simulators, probes, the
-    variation oracle and the placer.
+    Sequential outputs, ports, and constants are sources.  The order is
+    the one FIFO Kahn pass :meth:`~repro.netlist.core.Netlist.freeze`
+    runs (a combinational loop raises :class:`TimingError` there), and
+    every netlist walk uses it: the levelized row layout below (and
+    through it STA), the interpreted and compiled simulators, probes,
+    the variation oracle and the placer.
     """
-    source = bytearray(netlist.net_count)
-    source[CONST0] = source[CONST1] = 1
-    for bus in netlist.inputs.values():
-        for net in bus.nets:
-            source[net] = 1
-    combinational: list[Instance] = []
-    for instance in netlist.instances:
-        if instance.cell in SEQUENTIAL_CELLS:
-            source[instance.output] = 1
-        else:
-            combinational.append(instance)
-    # Per net, the positions in ``combinational`` of its readers, once
-    # per input pin; per cell, its inputs not yet ordered.
-    consumers: list[list[int] | None] = [None] * netlist.net_count
-    pending = [0] * len(combinational)
-    for position, instance in enumerate(combinational):
-        for net in instance.inputs:
-            if not source[net]:
-                readers = consumers[net]
-                if readers is None:
-                    consumers[net] = [position]
-                else:
-                    readers.append(position)
-                pending[position] += 1
-
-    ready = deque(p for p, count in enumerate(pending) if not count)
-    ordered: list[Instance] = []
-    while ready:
-        instance = combinational[ready.popleft()]
-        ordered.append(instance)
-        for position in consumers[instance.output] or ():
-            pending[position] -= 1
-            if not pending[position]:
-                ready.append(position)
-    if len(ordered) != len(combinational):
-        raise TimingError(
-            f"combinational loop: {len(combinational) - len(ordered)} cells unordered"
-        )
-    return ordered
-
-
-def _levelize(netlist: Netlist) -> list[list[Instance]]:
-    """Group combinational instances by logic level, in topo order."""
-    level_of = [-1] * netlist.net_count  # sources sit below level 0
-    levels: list[list[Instance]] = []
-    for inst in topological_order(netlist):
-        level = 0
-        for net in inst.inputs:
-            if level_of[net] >= level:
-                level = level_of[net] + 1
-        level_of[inst.output] = level
-        while len(levels) <= level:
-            levels.append([])
-        levels[level].append(inst)
-    return levels
-
-
-def _group(instance: Instance) -> int:
-    group = _GROUP.get(instance.cell)
-    if group is None:
-        raise SimulationError(f"cannot compile cell {instance.cell!r}")
-    return group
-
-
-def _layout(netlist: Netlist) -> tuple[NumpyLayout, list[list[Instance]]]:
-    """Assign matrix rows: sources, then levels by ufunc group, then unused."""
-    levels = [sorted(instances, key=_group) for instances in _levelize(netlist)]
-    sources = {CONST0, CONST1}
-    for bus in netlist.inputs.values():
-        sources.update(bus.nets)
-    for instance in netlist.instances:
-        if instance.cell in SEQUENTIAL_CELLS:
-            sources.add(instance.output)
-    row_of: dict[int, int] = {}
-    for net in sorted(sources):
-        row_of[net] = len(row_of)
-    source_rows = len(row_of)
-    level_slices: list[tuple[int, int]] = []
-    for instances in levels:
-        lo = len(row_of)
-        for instance in instances:
-            row_of[instance.output] = len(row_of)
-        level_slices.append((lo, len(row_of)))
-    for net in range(netlist.net_count):  # park unused nets at the end
-        if net not in row_of:
-            row_of[net] = len(row_of)
-    return (
-        NumpyLayout(
-            row_of=row_of,
-            rows=netlist.net_count,
-            source_rows=source_rows,
-            level_slices=tuple(level_slices),
-        ),
-        levels,
-    )
+    instances = netlist.instances
+    return [instances[cell] for cell in netlist.cells.order.tolist()]
 
 
 def compile_numpy_netlist(netlist: Netlist) -> NumpyCompiled:
-    """Build the per-level gather plans and flop rows for ``netlist``."""
-    netlist.validate()
-    for instance in netlist.instances:
-        if instance.cell == "LATCHX1":
-            raise SimulationError("level-sensitive latches are not simulatable")
-    layout, levels = _layout(netlist)
-    row_of = layout.row_of
+    """Build the per-level gather plans and flop rows for ``netlist``.
+
+    Rows: sources (constants, primary inputs, flop outputs) in net
+    order, then each level's cells by ufunc group, each group in the
+    stored topological order, then the unused nets in net order.
+    """
+    cells = netlist.cells
+    cells.refuse_latches()
+    nets = netlist.net_count
+    source = np.zeros(nets, dtype=bool)
+    source[[CONST0, CONST1]] = True
+    for bus in netlist.inputs.values():
+        source[bus.nets] = True
+    source[cells.output[cells.sequential]] = True
+    level = cells.level[cells.order]
+    group = _GROUP_OF_CODE[cells.kind[cells.order]]
+    rank = np.argsort(level * 8 + group, kind="stable")
+    logic, groups = cells.order[rank], group[rank]
+    used = source.copy()
+    used[cells.output[logic]] = True
+    row_net = np.concatenate(
+        (np.flatnonzero(source), cells.output[logic], np.flatnonzero(~used))
+    )
+    row_of = np.empty(nets, dtype=np.intp)
+    row_of[row_net] = np.arange(nets)
+    source_rows = int(source.sum())
+    ends = source_rows + np.cumsum(np.bincount(level, minlength=level.max(initial=-1) + 1))
+    bounds = [source_rows, *ends.tolist()]
+
+    inputs = cells.inputs[logic]
+    # The second input, or an INV's only input.
+    last = np.where(inputs[:, 1] >= 0, inputs[:, 1], inputs[:, 0])
+    first_rows, last_rows = row_of[inputs[:, 0]], row_of[last]
     plans = []
-    for (lo, _), instances in zip(layout.level_slices, levels):
-        groups = [_GROUP[i.cell] for i in instances]
-        # inputs[-1] is the second input, or an INV's only input.
-        rows = [row_of[i.inputs[0]] for i in instances]
-        rows += [row_of[i.inputs[-1]] for i in instances]
+    for lo, hi in zip(bounds, bounds[1:]):
+        a, b = lo - source_rows, hi - source_rows
         plans.append(
             LevelPlan(
                 lo=lo,
-                gather=np.array(rows, dtype=np.intp),
-                cuts=tuple(bisect_left(groups, g) for g in range(7)),
+                gather=np.concatenate((first_rows[a:b], last_rows[a:b])),
+                cuts=tuple(np.searchsorted(groups[a:b], _GROUP_BOUNDS).tolist()),
             )
         )
-    flops = [i for i in netlist.instances if i.cell in SEQUENTIAL_CELLS]
+    flops = np.flatnonzero(cells.sequential)
     reset_flops = 0
     if netlist.reset_n is not None:
-        flops.sort(key=lambda flop: flop.cell != "DFFNRX1")
-        reset_flops = sum(flop.cell == "DFFNRX1" for flop in flops)
+        resettable = cells.kind[flops] == CELL_NAMES.index("DFFNRX1")
+        flops = flops[np.argsort(~resettable, kind="stable")]
+        reset_flops = int(resettable.sum())
+    layout = NumpyLayout(
+        row_of=row_of,
+        rows=nets,
+        source_rows=source_rows,
+        level_slices=tuple(zip(bounds, bounds[1:])),
+    )
     return NumpyCompiled(
         layout=layout,
         levels=tuple(plans),
-        flop_d=np.array([row_of[f.inputs[0]] for f in flops], dtype=np.intp),
-        flop_q=np.array([row_of[f.output] for f in flops], dtype=np.intp),
+        flop_d=row_of[cells.inputs[flops, 0]],
+        flop_q=row_of[cells.output[flops]],
         reset_flops=reset_flops,
-        reset_row=row_of[netlist.reset_n] if reset_flops else None,
+        reset_row=int(row_of[netlist.reset_n]) if reset_flops else None,
     )
 
 
@@ -385,6 +328,10 @@ class NumpySimulator:
         self._bit_positions = np.arange(64, dtype=np.uint64)
         self._pack_cache: dict[str, tuple] = {}
         self._gather_cache: dict[tuple, tuple] = {}
+        self._input_rows = {
+            name: layout.row_of[bus.nets].tolist()
+            for name, bus in netlist.inputs.items()
+        }
 
         # Force masks from the shared plan, as identity-padded
         # contiguous blocks: sources clamp before level 0, each level's
@@ -464,8 +411,8 @@ class NumpySimulator:
                     f"value {values} does not fit input {name!r} "
                     f"({len(bus)} bits)"
                 )
-            for i, net in enumerate(bus):
-                V[row_of[net]] = _ALL_ONES if (values >> i) & 1 else 0
+            for i, row in enumerate(self._input_rows[name]):
+                V[row] = _ALL_ONES if (values >> i) & 1 else 0
             return
         lanes = np.asarray(values)
         if lanes.shape != (self.lanes,):
@@ -480,7 +427,7 @@ class NumpySimulator:
         cached = self._pack_cache.get(name)
         if cached is None:
             cached = self._pack_cache[name] = (
-                np.array([row_of[net] for net in bus], dtype=np.intp),
+                row_of[bus.nets],
                 np.arange(len(bus), dtype=np.uint64)[:, None],
                 np.zeros((len(bus), self.words * 64), dtype=np.uint64),
             )
@@ -526,7 +473,7 @@ class NumpySimulator:
         if cached is None:
             row_of = self._layout.row_of
             cached = self._gather_cache[nets] = (
-                np.array([row_of[net] for net in nets], dtype=np.intp),
+                row_of[list(nets)],
                 np.arange(len(nets), dtype=np.uint64)[:, None],
             )
         rows, shifts = cached

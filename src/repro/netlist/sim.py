@@ -35,13 +35,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.errors import SimulationError
-from repro.netlist.core import (
-    CELL_FUNCTIONS,
-    CONST1,
-    Instance,
-    Netlist,
-    SEQUENTIAL_CELLS,
-)
+from repro.netlist.core import CELL_FUNCTIONS, CONST1, Instance, Netlist
 from repro.netlist.nsim import topological_order
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.metrics import histogram as _obs_histogram
@@ -70,19 +64,16 @@ class CycleSimulator:
     def __init__(self, netlist: Netlist, backend: str = "interpreted") -> None:
         if backend not in BACKENDS:
             raise SimulationError(f"unknown simulation backend {backend!r}")
-        netlist.validate()
-        for instance in netlist.instances:
-            if instance.cell == "LATCHX1":
-                raise SimulationError("level-sensitive latches are not simulatable")
+        cells = netlist.cells  # freezes (and validates) on first use
+        cells.refuse_latches()
         self.netlist = netlist
         self.backend = backend
         self._order = topological_order(netlist)
-        self._flops = [i for i in netlist.instances if i.cell in SEQUENTIAL_CELLS]
         # Positional instance indices (toggle counters are reported per
         # index into ``netlist.instances``).
-        position = {inst.output: n for n, inst in enumerate(netlist.instances)}
-        self._comb_pos = [position[inst.output] for inst in self._order]
-        self._flop_pos = [position[flop.output] for flop in self._flops]
+        self._comb_pos = cells.order.tolist()
+        self._flop_pos = [k for k, flop in enumerate(cells.sequential.tolist()) if flop]
+        self._flops = [netlist.instances[k] for k in self._flop_pos]
         # Flat value table indexed by net id; undriven nets read as 0,
         # matching the paper cores' reset-to-zero state.
         self._values: list[int] = [0] * netlist.net_count

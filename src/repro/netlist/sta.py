@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.netlist.core import Netlist, SEQUENTIAL_CELLS
+from repro.netlist.core import CELL_NAMES, Netlist, SEQUENTIAL_CELLS
 from repro.netlist.load import (
     DEFAULT_FANOUT_SLOPE,
     RCAnnotation,
@@ -118,7 +118,7 @@ class ArrivalPlan:
         flop_edges: Edge rows of every sequential output.
         endpoint_edges: Rise and fall rows of each path endpoint: flop
             inputs in instance order, then the output buses.
-        row_of: Net id -> net row.
+        row_of: Net row of every net id.
     """
 
     edge_rows: int
@@ -128,7 +128,7 @@ class ArrivalPlan:
     widest: int
     flop_edges: np.ndarray
     endpoint_edges: np.ndarray
-    row_of: dict[int, int]
+    row_of: np.ndarray
 
     def edge_delays(self, delays: np.ndarray) -> np.ndarray:
         """Spread ``(cells, 2)`` delays onto the plan's edge rows."""
@@ -152,10 +152,10 @@ def arrival_plan(netlist: Netlist) -> ArrivalPlan:
     if cached is not None:
         return cached
     compiled = numpy_netlist(netlist)
+    cells = netlist.cells
     row_of = compiled.layout.row_of
     driver = np.full(compiled.layout.rows, -1, dtype=np.intp)
-    for k, instance in enumerate(netlist.instances):
-        driver[row_of[instance.output]] = k
+    driver[row_of[cells.output]] = np.arange(len(cells.output))
     levels = []
     for level in compiled.levels:
         n = len(level.gather) // 2
@@ -164,17 +164,18 @@ def arrival_plan(netlist: Netlist) -> ArrivalPlan:
         sources[:, cuts[1] : cuts[3]] ^= 1  # inverting: the opposite edge
         both = slice(2 * cuts[4], 2 * cuts[6]) if cuts[4] < cuts[6] else None
         levels.append((2 * level.lo, 2 * (level.lo + n), sources.ravel(), both))
-    flops = [i for i in netlist.instances if i.cell in SEQUENTIAL_CELLS]
-    endpoints = [row_of[net] for flop in flops for net in flop.inputs]
-    for bus in netlist.outputs.values():
-        endpoints.extend(row_of[net] for net in bus)
+    flop_inputs = cells.inputs[cells.sequential]
+    ports = [net for bus in netlist.outputs.values() for net in bus]
+    endpoints = np.concatenate(
+        (row_of[flop_inputs[flop_inputs >= 0]], row_of[np.array(ports, dtype=np.intp)])
+    )
     cached = netlist._sta_plan = ArrivalPlan(
         edge_rows=2 * compiled.layout.rows,
-        cell_edges=_edge_rows([row_of[i.output] for i in netlist.instances]),
+        cell_edges=_edge_rows(row_of[cells.output]),
         cell_of_edge=np.repeat(driver, 2),
         levels=tuple(levels),
         widest=max((hi - lo for lo, hi, _, _ in levels), default=0),
-        flop_edges=_edge_rows([row_of[flop.output] for flop in flops]),
+        flop_edges=_edge_rows(row_of[cells.output[cells.sequential]]),
         endpoint_edges=_edge_rows(endpoints),
         row_of=row_of,
     )
@@ -207,7 +208,7 @@ def cell_delays(
     for instance in netlist.instances:
         cell = library.cell(instance.cell)
         derate = net_derate(
-            fanouts.get(instance.output, 1),
+            int(fanouts[instance.output]),
             rc.capacitance(instance.output),
             input_cap,
             fanout_slope,
@@ -311,7 +312,7 @@ def _timing_report(
         # Port-driven nets have no driving cell to derate; their routed
         # trace still delays every sink.
         ports = [net for bus in netlist.inputs.values() for net in bus]
-        arrival[_edge_rows([plan.row_of[net] for net in ports]), 0] = np.repeat(
+        arrival[_edge_rows(plan.row_of[ports]), 0] = np.repeat(
             [rc.wire_delay(net) for net in ports], 2
         )
     factors = np.ones((len(netlist.instances), 1), dtype=np.float64)
@@ -343,21 +344,23 @@ def _critical_path(
     row = next(r for r in ends if peak(r) == worst)
     edge = 0 if arrival[2 * row] >= arrival[2 * row + 1] else 1
     driver = plan.cell_of_edge
+    kind, inputs, row_of = netlist.cells.kind, netlist.cells.inputs, plan.row_of
     path: list[str] = []
     while driver[2 * row] >= 0:
-        instance = netlist.instances[driver[2 * row]]
-        path.append(instance.cell)
-        if instance.cell in SEQUENTIAL_CELLS:
+        k = driver[2 * row]
+        cell = CELL_NAMES[kind[k]]
+        path.append(cell)
+        if cell in SEQUENTIAL_CELLS:
             break
-        rows = [plan.row_of[net] for net in instance.inputs]
-        if instance.cell in NON_MONOTONE_CELLS:
+        rows = [int(row_of[net]) for net in inputs[k].tolist() if net >= 0]
+        if cell in NON_MONOTONE_CELLS:
             times = [peak(r) for r in rows]
         else:
-            if instance.cell in INVERTING_CELLS:
+            if cell in INVERTING_CELLS:
                 edge ^= 1
             times = [arrival[2 * r + edge] for r in rows]
         row = rows[len(times) - 1 - times[::-1].index(max(times))]
-        if instance.cell in NON_MONOTONE_CELLS:
+        if cell in NON_MONOTONE_CELLS:
             edge = 0 if arrival[2 * row] >= arrival[2 * row + 1] else 1
     path.reverse()
     return tuple(path)

@@ -11,24 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.netlist.core import Netlist
+from repro.netlist.core import CELL_ARITY, Netlist  # CELL_ARITY: re-exported
 from repro.netlist.load import cell_kinds, ordered_sum
 from repro.pdk.cells import CellLibrary
-
-#: Input-pin count per supported cell (validation + simulation order).
-CELL_ARITY = {
-    "INVX1": 1,
-    "NAND2X1": 2,
-    "NOR2X1": 2,
-    "AND2X1": 2,
-    "OR2X1": 2,
-    "XOR2X1": 2,
-    "XNOR2X1": 2,
-    "LATCHX1": 2,
-    "DFFX1": 1,
-    "DFFNRX1": 2,
-    "TSBUFX1": 2,
-}
 
 
 @dataclass(frozen=True)
@@ -60,8 +45,9 @@ class AreaReport:
 
 
 def cell_histogram(netlist: Netlist) -> Counter[str]:
-    """Count placed instances per cell name."""
-    return Counter(instance.cell for instance in netlist.instances)
+    """Count placed instances per cell name, in order of first use."""
+    kinds = cell_kinds(netlist)
+    return Counter(dict(zip(kinds.names, kinds.counts)))
 
 
 def area_report(netlist: Netlist, library: CellLibrary) -> AreaReport:

@@ -63,7 +63,7 @@ def serve_main(argv: list[str]) -> int:
     from repro import obs
     from repro.obs import live
     from repro.serve.jobs import JobManager
-    from repro.serve.server import ReproServer
+    from repro.serve.server import POLL_INTERVAL_S, ReproServer
 
     obs.enable()
     if args.jobs > 1:
@@ -98,7 +98,10 @@ def serve_main(argv: list[str]) -> int:
     old_int = signal.signal(signal.SIGINT, _on_signal)
 
     thread = threading.Thread(
-        target=server.serve_forever, name="repro-serve-http", daemon=True
+        target=server.serve_forever,
+        kwargs={"poll_interval": POLL_INTERVAL_S},
+        name="repro-serve-http",
+        daemon=True,
     )
     thread.start()
     try:

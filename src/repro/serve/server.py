@@ -40,6 +40,10 @@ _REQUESTS = _obs_counter("serve.requests")
 #: Cap on accepted POST bodies (a params dict is tiny).
 MAX_BODY_BYTES = 64 * 1024
 
+#: ``serve_forever`` poll: ``shutdown()`` waits up to one poll, so the
+#: stdlib's 0.5-s default would add up to half a second to every stop.
+POLL_INTERVAL_S = 0.05
+
 
 class ReproServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the service's shared state."""

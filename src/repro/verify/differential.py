@@ -193,10 +193,10 @@ def fault_site_for_output(netlist, bus: str, bit: int = 0, stuck: int = 1):
     nets = netlist.outputs.get(bus)
     if nets is None:
         raise ReproError(f"netlist has no output bus {bus!r}")
-    driver = netlist.driver_of(nets[bit])
-    if driver is None:
+    driver = int(netlist.cells.driver[nets[bit]])
+    if driver < 0:
         raise ReproError(f"output {bus}[{bit}] is not instance-driven")
-    return StuckAtFault(netlist.instances.index(driver), stuck)
+    return StuckAtFault(driver, stuck)
 
 
 def lane_verify(

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.netlist.core import CONST0, CONST1, Netlist, SEQUENTIAL_CELLS
+from repro.netlist.core import CELL_ARITY, CONST0, CONST1, Netlist, SEQUENTIAL_CELLS
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.trace import span as _obs_span
 
@@ -97,18 +97,11 @@ class LintReport:
         )
 
 
-def _cell_arity() -> dict:
-    from repro.netlist.stats import CELL_ARITY
-
-    return CELL_ARITY
-
-
 def lint_netlist(netlist: Netlist) -> LintReport:
     """Run every lint rule over ``netlist``."""
     with _obs_span("verify.lint", design=netlist.name) as sp:
         report = LintReport(design=netlist.name)
         add = report.findings.append
-        arity_table = _cell_arity()
         port_nets = {n for bus in netlist.inputs.values() for n in bus}
         constants = {CONST0, CONST1}
 
@@ -141,7 +134,7 @@ def lint_netlist(netlist: Netlist) -> LintReport:
         # bad-pin-count / floating-input --------------------------------
         driven = set(drivers) | port_nets | constants
         for instance in netlist.instances:
-            arity = arity_table.get(instance.cell)
+            arity = CELL_ARITY.get(instance.cell)
             if arity is None:
                 add(LintFinding(
                     "bad-pin-count", "error",

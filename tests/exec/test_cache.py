@@ -8,6 +8,7 @@ import pytest
 from repro import obs
 from repro.coregen.config import CoreConfig
 from repro.coregen.generator import generate_core
+from repro.errors import NetlistError
 from repro.exec import (
     CACHE_VERSION,
     cache_enabled,
@@ -120,3 +121,48 @@ class TestWarmStart:
         clone = pickle.loads(pickle.dumps(netlist))
         assert not hasattr(clone, "_compiled_sim") or clone._compiled_sim is None
         assert compiled_netlist(clone).source == sim.source
+
+
+class TestBrokenNetlistArtifact:
+    """A ``netlist`` entry that unpickles but fails the load check, or
+    holds no netlist, is dropped like an unreadable one: deleted,
+    counted in ``exec.cache_corrupt``, and re-elaborated."""
+
+    CONFIG = CoreConfig(datawidth=4)
+
+    @staticmethod
+    def key(config) -> str:
+        from repro.coregen import generator
+
+        return f"{config!r};cse=True;" + source_digest(*generator._ELABORATION_SOURCES)
+
+    def recovers(self, good, obs_enabled) -> None:
+        clear_caches()
+        obs.reset()
+        netlist = generate_core(self.CONFIG)
+        assert structural_hash(netlist) == structural_hash(good)
+        assert obs.snapshot()["exec.cache_corrupt"] == 1
+        # The re-elaborated netlist took the slot back.
+        assert structural_hash(load_artifact("netlist", self.key(self.CONFIG))) == (
+            structural_hash(good)
+        )
+
+    def test_floating_input_is_re_elaborated(self, cache_dir, obs_enabled):
+        import copy
+        import dataclasses
+
+        good = generate_core(self.CONFIG)
+        broken = copy.copy(good)
+        inputs = broken.cells.inputs.copy()
+        inputs[0, 0] = broken.net_count  # a net nothing drives
+        broken._cells = dataclasses.replace(broken.cells, inputs=inputs)
+        broken._net_count += 1
+        store_artifact("netlist", self.key(self.CONFIG), broken)
+        with pytest.raises(NetlistError, match="floating input"):
+            pickle.loads(pickle.dumps(broken))
+        self.recovers(good, obs_enabled)
+
+    def test_wrong_payload_type_is_re_elaborated(self, cache_dir, obs_enabled):
+        good = generate_core(self.CONFIG)
+        store_artifact("netlist", self.key(self.CONFIG), {"not": "a netlist"})
+        self.recovers(good, obs_enabled)

@@ -161,7 +161,7 @@ def test_wire_blind_analyses_equal_the_per_instance_formulas(technology):
         transistors = resistors = flops = 0
         for instance in netlist.instances:
             cell = library.cell(instance.cell)
-            derate = fanout_derate(fanouts.get(instance.output, 1))
+            derate = fanout_derate(int(fanouts[instance.output]))
             delays.append((cell.rise_delay * derate, cell.fall_delay * derate))
             stateful = instance.cell in SEQUENTIAL_CELLS
             total += cell.area

@@ -20,7 +20,7 @@ from repro.cli import Option
 from repro.obs import live
 from repro.serve import drivers
 from repro.serve.jobs import JobManager
-from repro.serve.server import ReproServer
+from repro.serve.server import POLL_INTERVAL_S, ReproServer
 
 
 def _run_echo(params):
@@ -100,7 +100,11 @@ def server(serve_obs, manager):
     srv = ReproServer(
         ("127.0.0.1", 0), manager, serve_obs, heartbeat=0.2
     )
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=srv.serve_forever,
+        kwargs={"poll_interval": POLL_INTERVAL_S},
+        daemon=True,
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{srv.server_address[1]}"
