@@ -118,7 +118,7 @@ def structural_hash(netlist) -> str:
     cached = getattr(netlist, "_structural_hash", None)
     if cached is not None:
         return cached
-    from repro.netlist.core import CELL_NAMES
+    from repro.netlist.core import CELL_NAMES  # repro.netlist imports this module
 
     cells = netlist.cells
     digest = hashlib.sha256()

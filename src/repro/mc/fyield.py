@@ -36,7 +36,6 @@ import numpy as np
 from repro.coregen.fault_test import lane_signatures
 from repro.errors import PDKError
 from repro.netlist.core import Netlist
-from repro.netlist.load import cell_kinds
 from repro.netlist.faults import StuckAtFault
 from repro.pdk.cells import CellLibrary
 
@@ -55,12 +54,12 @@ def defect_probabilities(
     """Per-instance failure probability ``1 - y^devices``."""
     if not 0.0 < device_yield <= 1.0:
         raise PDKError(f"device yield {device_yield} out of (0, 1]")
-    kinds = cell_kinds(netlist)
-    devices = kinds.spread(
+    devices = np.array(
         [
-            library.cell(name).transistors + library.cell(name).resistors
-            for name in kinds.names
-        ]
+            library.cell(i.cell).transistors + library.cell(i.cell).resistors
+            for i in netlist.instances
+        ],
+        dtype=np.float64,
     )
     return 1.0 - device_yield**devices
 

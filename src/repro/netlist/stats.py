@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.netlist.core import CELL_ARITY, Netlist  # CELL_ARITY: re-exported
+from repro.netlist.core import Netlist
 from repro.netlist.load import cell_kinds, ordered_sum
 from repro.pdk.cells import CellLibrary
 

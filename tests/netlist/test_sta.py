@@ -6,9 +6,8 @@ import pytest
 
 from repro.errors import TimingError
 from repro.netlist.components import ripple_adder
-from repro.netlist.core import CELL_FUNCTIONS, Netlist
+from repro.netlist.core import CELL_ARITY, CELL_FUNCTIONS, Netlist
 from repro.netlist.sta import INVERTING_CELLS, NON_MONOTONE_CELLS, timing_report
-from repro.netlist.stats import CELL_ARITY
 from repro.pdk import cnt_tft_library, egfet_library
 
 
