@@ -377,22 +377,13 @@ def bench_obs_overhead(pairs: int = 64, chunk: int = 256) -> dict:
     load drift that dominates coarse A/B timing on shared machines
     (raw rates here swing +-15% between seconds; the paired ratio is
     stable to ~1%).  Restores the obs switch to the caller's state.
-
-    The enabled side runs with a *live telemetry bus* installed
-    (:mod:`repro.obs.live`, as ``python -m repro serve`` does) so the
-    checked budget covers the bus hook at every instrumentation site,
-    not just the base collector.
     """
-    from repro.obs import live as _live
-
     was_enabled = obs.enabled()
     harness = CoSimHarness(_program_for(HEADLINE), HEADLINE, backend="compiled")
     for _ in range(64):  # warm-up: compile and reach steady state
         harness.step()
     ratios: list[float] = []
     times = {False: 0.0, True: 0.0}
-    bus = _live.activate()
-    drain = bus.subscribe(maxlen=64)  # keep the ring's consumer real
     try:
         for i in range(pairs):
             order = (False, True) if i % 2 == 0 else (True, False)
@@ -408,12 +399,11 @@ def bench_obs_overhead(pairs: int = 64, chunk: int = 256) -> dict:
             times[True] += pair[True]
     finally:
         obs.STATE.enabled = was_enabled
-        _live.deactivate()
     overhead_pct = 100.0 * (statistics.median(ratios) - 1.0)
     disabled = pairs * chunk / times[False]
     enabled = pairs * chunk / times[True]
     print(
-        f"obs overhead (p1_8_2 cosim, live bus): "
+        f"obs overhead (p1_8_2 cosim): "
         f"disabled {disabled:8.0f} c/s, "
         f"enabled {enabled:8.0f} c/s, overhead {overhead_pct:+.2f}%"
     )
@@ -422,7 +412,6 @@ def bench_obs_overhead(pairs: int = 64, chunk: int = 256) -> dict:
         "enabled_cycles_per_s": round(enabled, 1),
         "overhead_pct": round(overhead_pct, 2),
         "budget_pct": OVERHEAD_BUDGET_PCT,
-        "live_bus": True,
     }
 
 

@@ -48,7 +48,7 @@ Usage::
     python -m repro serve --port 8097 --jobs 2
                                        # long-running DSE service:
                                        # job queue over the drivers,
-                                       # /metrics + SSE + per-job
+                                       # /metrics + per-job
                                        # traces (see docs/SERVE.md)
 
 ``REPRO_TRACE=1`` in the environment is equivalent to ``--profile``;

@@ -57,7 +57,6 @@ from repro.obs.metrics import (
     gauge as _obs_gauge,
     histogram as _obs_histogram,
 )
-from repro.obs import live as _live
 from repro.obs.progress import progress, set_progress_sink
 from repro.obs.runtime import STATE
 from repro.obs.trace import TRACER, current_trace_id, set_trace_id, span
@@ -145,10 +144,8 @@ def _worker_init(obs_enabled: bool, warm: Callable | None = None) -> None:
     TRACER.clear()
     REGISTRY.reset()
     # Fork-inherited serve state must not leak into workers: a copied
-    # live bus would publish into dead subscriber queues, a copied
     # progress sink would call into the parent's job table, and a
     # copied thread trace-id would stamp unrelated chunks.
-    _live.deactivate()
     set_progress_sink(None)
     set_trace_id(None)
     if warm is not None:

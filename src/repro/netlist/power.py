@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.netlist.core import Netlist, SEQUENTIAL_CELLS
-from repro.netlist.load import RCAnnotation, cell_kinds, fanout_counts, ordered_sum
+from repro.netlist.load import RCAnnotation, cell_kinds, ordered_sum
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.trace import span as _obs_span
 from repro.pdk.cells import CellLibrary

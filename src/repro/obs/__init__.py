@@ -68,7 +68,6 @@ from repro.obs.report import (
     write_run_report,
 )
 from repro.obs import history
-from repro.obs import live
 from repro.obs import promtext
 from repro.obs import report
 from repro.obs.wave import VcdVar, VcdWriter
@@ -102,7 +101,6 @@ __all__ = [
     "progress_sink",
     "set_progress_sink",
     "history",
-    "live",
     "promtext",
     "build_run_report",
     "dump_report_json",

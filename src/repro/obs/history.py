@@ -353,18 +353,6 @@ def append_record(record: dict, path=None) -> str | None:
         _APPEND_ERRORS.inc()
         return None
     _APPENDS.inc()
-    from repro.obs import live as _live
-
-    if _live.ACTIVE is not None:
-        _live.publish(
-            "ledger",
-            {
-                "id": record["id"],
-                "kind": record.get("kind"),
-                "command": record.get("command", []),
-                "series_count": len(record.get("series", {})),
-            },
-        )
     return record["id"]
 
 

@@ -26,10 +26,9 @@ clock so a stalled campaign is distinguishable from a slow one.
 :class:`ProgressEvent`; the default sink renders it with
 :func:`format_progress_line` (byte-identical to the historical stderr
 format) and prints it, while :func:`set_progress_sink` swaps in any
-callable -- the serve layer folds events into per-job progress/ETA
-this way instead of scraping stderr.  Independently of the sink, each
-event also publishes onto the live bus (:mod:`repro.obs.live`) when
-one is active.
+callable -- the serve job manager installs one that prints the same
+line and folds each event into the running job with the event's trace
+id (per-job progress/ETA), instead of scraping stderr.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from repro.obs import live
 from repro.obs.runtime import STATE
 from repro.obs.trace import current_trace_id
 
@@ -205,20 +203,6 @@ def _emit(out, label, done, total, elapsed, final=False, heartbeat=False) -> Non
         heartbeat=heartbeat,
         trace_id=current_trace_id(),
     )
-    if live.ACTIVE is not None:
-        live.publish(
-            "progress",
-            {
-                "label": event.label,
-                "done": event.done,
-                "total": event.total,
-                "rate": round(event.rate, 3),
-                "percent": event.percent,
-                "eta_s": None if event.eta_s is None else round(event.eta_s, 1),
-                "final": event.final,
-                "trace_id": event.trace_id,
-            },
-        )
     sink = _SINK
     if sink is not None:
         sink(event)

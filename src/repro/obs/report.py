@@ -197,7 +197,6 @@ def write_run_report(path, report: dict, compact: bool = False) -> Path:
     case the key is absent and nothing is written outside ``path``.
     """
     from repro.obs import history as _history
-    from repro.obs import live as _live
 
     record_id = _history.record_report(report)
     if record_id is not None:
@@ -205,17 +204,6 @@ def write_run_report(path, report: dict, compact: bool = False) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(dump_report_json(report, compact=compact))
-    if _live.ACTIVE is not None:
-        _live.publish(
-            "report",
-            {
-                "command": report.get("command", []),
-                "wall_seconds": report.get("wall_seconds"),
-                "span_count": report.get("span_count"),
-                "history_ref": report.get("history_ref"),
-                "path": str(path),
-            },
-        )
     return path
 
 

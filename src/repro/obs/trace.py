@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs import live
 from repro.obs.runtime import STATE
 
 # Wall-clock anchor: perf_counter gives monotonic durations, this pair
@@ -222,18 +221,6 @@ class Tracer:
     def _record(self, event: SpanEvent) -> None:
         with self._lock:
             self._events.append(event)
-        if live.ACTIVE is not None:
-            live.publish(
-                "span",
-                {
-                    "name": event.name,
-                    "path": event.path,
-                    "wall_s": round(event.wall_s, 6),
-                    "pid": event.pid,
-                    "trace_id": event.trace_id,
-                    "error": event.error,
-                },
-            )
 
     def span(self, name: str, **attrs) -> _Span:
         """A live span; prefer the module-level :func:`span` gate."""
@@ -244,22 +231,10 @@ class Tracer:
 
         The caller is responsible for re-rooting ``path``/``depth``
         first if the spans should nest under the current position (see
-        :meth:`current_path`); events are appended verbatim.  On a live
-        bus a whole batch publishes as one ``spans`` summary event
-        rather than per-span, to bound SSE volume for big fan-outs.
+        :meth:`current_path`); events are appended verbatim.
         """
         with self._lock:
             self._events.extend(events)
-        if live.ACTIVE is not None and events:
-            live.publish(
-                "spans",
-                {
-                    "count": len(events),
-                    "pids": sorted({e.pid for e in events if e.pid}),
-                    "trace_id": events[0].trace_id,
-                    "wall_s": round(sum(e.wall_s for e in events), 6),
-                },
-            )
 
     def current_path(self) -> tuple[str, int]:
         """This thread's open-span nesting as ``(slash_path, depth)``.

@@ -1,4 +1,4 @@
-"""Long-running DSE service: job queue + live-observability HTTP API.
+"""Long-running DSE service: job queue + observability HTTP API.
 
 ``python -m repro serve`` turns the repo's one-shot CLI drivers
 (sweep, yield, fault campaign, fuzz verify, profile, place) into a
@@ -10,19 +10,17 @@ zero-dependency service built on the stdlib ``ThreadingHTTPServer``:
   content-addressed dedup key;
 * :mod:`repro.serve.jobs` — the thread-safe job queue: worker
   threads, per-job trace ids stitched across :mod:`repro.exec` pool
-  workers, per-job run reports, and one ``serve`` ledger record per
+  workers, per-job progress through the :mod:`repro.obs.progress`
+  sink, per-job run reports, and one ``serve`` ledger record per
   completed job so the regression sentinel gates service latency;
-* :mod:`repro.serve.sse` — Server-Sent-Events framing over the
-  :mod:`repro.obs.live` bus (bounded per-client queues, drop
-  counting, heartbeat keepalives);
 * :mod:`repro.serve.server` — the HTTP surface (``/metrics``,
-  ``/healthz``, ``/readyz``, ``/jobs``, ``/events``, ``/``);
-* :mod:`repro.serve.page` — the live status page reusing the
-  telemetry dashboard's CSS/sparklines;
+  ``/healthz``, ``/readyz``, ``/jobs``, ``/``);
+* :mod:`repro.serve.page` — the self-reloading status page reusing
+  the telemetry dashboard's CSS/sparklines;
 * :mod:`repro.serve.cli` — argument parsing, ``REPRO_SERVE_*`` env
   knobs, and graceful SIGTERM/SIGINT drain.
 
-See ``docs/SERVE.md`` for the endpoint and event-schema reference.
+See ``docs/SERVE.md`` for the endpoint reference.
 """
 
 from repro.serve.drivers import canonical_params, job_kinds, run_job

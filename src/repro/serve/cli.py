@@ -16,8 +16,7 @@ execute *concurrently* on service worker threads.
 
 On SIGTERM/SIGINT the service stops accepting jobs (``/readyz`` flips
 to 503), drains in-flight jobs for up to ``--drain-timeout`` seconds
-(their ledger records flush as each completes), publishes a final
-``shutdown`` SSE event, closes every stream, and exits 0.
+(their ledger records flush as each completes), and exits 0.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import signal
 import sys
 import threading
-import time
 from dataclasses import replace
 
 from repro import cli
@@ -41,10 +39,6 @@ SERVE_OPTIONS = (
                env="REPRO_SERVE_WORKERS"),
     cli.Option("--max-jobs", cli.positive_int, 256,
                "finished jobs kept", env="REPRO_SERVE_MAX_JOBS"),
-    cli.Option("--heartbeat", cli.number(float, above=0), 15.0,
-               "SSE keepalive (s)", env="REPRO_SERVE_HEARTBEAT"),
-    cli.Option("--tick", cli.number(float, above=0), 2.0,
-               "metrics delta interval (s)", env="REPRO_SERVE_TICK"),
     cli.Option("--drain-timeout", cli.number(float, low=0), 10.0,
                "shutdown drain budget (s)", env="REPRO_SERVE_DRAIN_TIMEOUT"),
     cli.Option("--verbose", None, False, "log every HTTP request"),
@@ -61,7 +55,6 @@ def serve_main(argv: list[str]) -> int:
 
     from repro import exec as _exec
     from repro import obs
-    from repro.obs import live
     from repro.serve.jobs import JobManager
     from repro.serve.server import POLL_INTERVAL_S, ReproServer
 
@@ -69,17 +62,10 @@ def serve_main(argv: list[str]) -> int:
     if args.jobs > 1:
         _exec.set_default_jobs(args.jobs)
 
-    bus = live.activate()
-    ticker = live.SnapshotTicker(bus, interval=args.tick)
     manager = JobManager(workers=args.workers, max_jobs=args.max_jobs)
-    bus.add_tap(manager.tap)
     manager.start()
-    ticker.start()
 
-    server = ReproServer(
-        (host, port), manager, bus, heartbeat=args.heartbeat,
-        quiet=not args.verbose,
-    )
+    server = ReproServer((host, port), manager, quiet=not args.verbose)
     bound_port = server.server_address[1]
     # Parsed by CI / subprocess tests: keep this line's shape stable.
     print(f"serving on http://{host}:{bound_port}", flush=True)
@@ -118,16 +104,9 @@ def serve_main(argv: list[str]) -> int:
             file=sys.stderr,
             flush=True,
         )
-    ticker.stop()
-    bus.publish(
-        "shutdown",
-        {"drained": drained, "uptime_s": round(time.time() - server.started_ts, 1)},
-    )
-    bus.close_all()
     server.shutdown()
     server.server_close()
     thread.join(timeout=2.0)
     manager.stop()
-    live.deactivate()
     print("shutdown complete", flush=True)
     return 0

@@ -22,9 +22,11 @@ One :class:`JobManager` owns the service's jobs:
   ``serve.<kind>.wall_s``, ``serve.queue_wait_s``,
   ``serve.jobs.completed``) so the cross-run sentinel gates service
   latency like any other pipeline cost.
-* **Progress**: install :meth:`JobManager.tap` as a live-bus tap and
-  in-flight ``progress`` events fold into the owning job's
-  ``progress`` block (percent, rate, ETA) by trace id.
+* **Progress**: while the manager runs, :meth:`JobManager.tap` is the
+  process's progress sink (:func:`repro.obs.progress.set_progress_sink`):
+  it prints each ``[obs]`` line to stderr as the default sink does and
+  folds the event into the running job with the same trace id, as that
+  job's ``progress`` block (percent, rate, ETA).
 
 Everything is stdlib; locking is one mutex around the job table plus
 the queue's own synchronization.
@@ -35,17 +37,23 @@ from __future__ import annotations
 import hashlib
 import json
 import queue
+import sys
 import threading
 import time
 import uuid
 
 from repro.obs import build_run_report
 from repro.obs import history as _history
-from repro.obs import live as _live
 from repro.obs.metrics import (
     counter as _obs_counter,
     gauge as _obs_gauge,
     histogram as _obs_histogram,
+)
+from repro.obs.progress import (
+    ProgressEvent,
+    format_progress_line,
+    progress_sink,
+    set_progress_sink,
 )
 from repro.obs.trace import TRACER, Tracer, set_trace_id
 from repro.serve import drivers
@@ -127,20 +135,6 @@ class Job:
             out["result"] = self.result
         return out
 
-    def event_data(self) -> dict:
-        """Compact payload for ``job`` lifecycle bus events."""
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "status": self.status,
-            "trace_id": self.trace_id,
-            "queue_wait_s": None
-            if self.queue_wait_s is None
-            else round(self.queue_wait_s, 4),
-            "wall_s": None if self.wall_s is None else round(self.wall_s, 4),
-            "error": self.error,
-        }
-
 
 class JobManager:
     """FIFO job queue over ``workers`` daemon threads."""
@@ -153,7 +147,8 @@ class JobManager:
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}  # insertion-ordered
         self._by_key: dict[str, Job] = {}
-        self._queue: "queue.Queue[Job]" = queue.Queue()
+        # ``None`` is the wake-up sentinel :meth:`stop` puts per worker.
+        self._queue: "queue.Queue[Job | None]" = queue.Queue()
         self._stop = threading.Event()
         self._draining = False
         self._seq = 0
@@ -164,8 +159,10 @@ class JobManager:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
+        """Start the workers and install :meth:`tap` as progress sink."""
         if self._threads:
             return
+        set_progress_sink(self.tap)
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -197,10 +194,15 @@ class JobManager:
         return True
 
     def stop(self) -> None:
+        """Wake and join the workers; remove :meth:`tap` as progress sink."""
         self._stop.set()
+        for _ in self._threads:
+            self._queue.put(None)
         for thread in self._threads:
             thread.join(timeout=1.0)
         self._threads = []
+        if progress_sink() == self.tap:
+            set_progress_sink(None)
 
     # -- submission --------------------------------------------------------
 
@@ -227,12 +229,10 @@ class JobManager:
                 self._evict_locked()
         if existing is not None:
             _DEDUP_HITS.inc()
-            _live.publish("job", {**existing.event_data(), "deduped": True})
             return existing, True
         _SUBMITTED.inc()
         self._queue.put(job)
         _QUEUE_DEPTH.set(self._queue.qsize())
-        _live.publish("job", job.event_data())
         return job, False
 
     def _evict_locked(self) -> None:
@@ -288,37 +288,34 @@ class JobManager:
                 "draining": self._draining,
             }
 
-    # -- live-bus tap ------------------------------------------------------
+    # -- progress sink -----------------------------------------------------
 
-    def tap(self, event: dict) -> None:
-        """Fold in-flight ``progress`` events into the owning job."""
-        if event.get("kind") != "progress":
+    def tap(self, event: ProgressEvent) -> None:
+        """Print the ``[obs]`` line; fold the event into its running job."""
+        print(format_progress_line(event), file=sys.stderr, flush=True)
+        if not event.trace_id:
             return
-        data = event.get("data", {})
-        trace_id = data.get("trace_id")
-        if not trace_id:
-            return
+        eta_s = event.eta_s
         with self._lock:
             for job in self._jobs.values():
-                if job.trace_id == trace_id and job.status == "running":
+                if job.trace_id == event.trace_id and job.status == "running":
                     job.progress = {
-                        "label": data.get("label"),
-                        "done": data.get("done"),
-                        "total": data.get("total"),
-                        "percent": data.get("percent"),
-                        "rate": data.get("rate"),
-                        "eta_s": data.get("eta_s"),
+                        "label": event.label,
+                        "done": event.done,
+                        "total": event.total,
+                        "percent": event.percent,
+                        "rate": round(event.rate, 3),
+                        "eta_s": None if eta_s is None else round(eta_s, 1),
                     }
                     break
 
     # -- execution ---------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                job = self._queue.get(timeout=0.2)
-            except queue.Empty:
-                continue
+        while True:
+            job = self._queue.get()
+            if job is None or self._stop.is_set():
+                return
             with self._lock:
                 self._running += 1
             try:
@@ -335,7 +332,6 @@ class JobManager:
         job.status = "running"
         _QUEUE_DEPTH.set(self._queue.qsize())
         _QUEUE_WAIT.observe(job.queue_wait_s)
-        _live.publish("job", job.event_data())
         set_trace_id(job.trace_id)
         started = time.perf_counter()
         try:
@@ -358,7 +354,6 @@ class JobManager:
         # The status flip is the LAST mutation: any reader that observes
         # a finished status also sees the spans/report already attached.
         job.status = outcome
-        _live.publish("job", job.event_data())
 
     def _finalize(self, job: Job, outcome: str) -> None:
         """Per-job run report + the ``serve`` ledger record."""

@@ -3,7 +3,7 @@
 Endpoints (see ``docs/SERVE.md`` for the full reference):
 
 ====================  =====================================================
-``GET /``             live status page (SSE-auto-refreshing HTML)
+``GET /``             status page (HTML that reloads itself)
 ``GET /healthz``      liveness — 200 as long as the process serves
 ``GET /readyz``       readiness — 200 accepting jobs, 503 while draining
 ``GET /metrics``      whole metrics registry, Prometheus text format
@@ -12,12 +12,11 @@ Endpoints (see ``docs/SERVE.md`` for the full reference):
 ``GET /jobs/<id>``    one job incl. result, queue position, progress/ETA
 ``GET /jobs/<id>/trace``   stitched Chrome-trace JSON array (finished jobs)
 ``GET /jobs/<id>/report``  per-job RUN_REPORT (finished jobs)
-``GET /events``       SSE stream (``?kinds=a,b`` filter, ``?replay=1``)
 ====================  =====================================================
 
 Built on :class:`http.server.ThreadingHTTPServer` with daemon threads:
-each request (including long-lived SSE streams) runs on its own
-thread, so a slow consumer never blocks the accept loop.
+each request runs on its own thread, so a slow client never blocks the
+accept loop.
 """
 
 from __future__ import annotations
@@ -25,13 +24,11 @@ from __future__ import annotations
 import json
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import urlparse
 
 from repro.errors import ReproError
-from repro.obs import live
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.promtext import render_prometheus
-from repro.serve import sse
 from repro.serve.jobs import JobManager
 from repro.serve.page import render_page
 
@@ -54,14 +51,10 @@ class ReproServer(ThreadingHTTPServer):
         self,
         address: tuple[str, int],
         manager: JobManager,
-        bus: "live.LiveBus",
-        heartbeat: float = sse.DEFAULT_HEARTBEAT,
         quiet: bool = True,
     ) -> None:
         super().__init__(address, RequestHandler)
         self.manager = manager
-        self.bus = bus
-        self.heartbeat = heartbeat
         self.quiet = quiet
         self.started_ts = time.time()
 
@@ -82,6 +75,8 @@ class RequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -96,8 +91,7 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         _REQUESTS.inc()
-        url = urlparse(self.path)
-        route = url.path.rstrip("/") or "/"
+        route = urlparse(self.path).path.rstrip("/") or "/"
         try:
             if route == "/":
                 body = render_page(
@@ -136,8 +130,6 @@ class RequestHandler(BaseHTTPRequestHandler):
                 )
             elif route.startswith("/jobs/"):
                 self._job_route(route)
-            elif route == "/events":
-                self._events(parse_qs(url.query))
             else:
                 self._error(404, f"no such endpoint: {route}")
         except (BrokenPipeError, ConnectionResetError):
@@ -170,44 +162,35 @@ class RequestHandler(BaseHTTPRequestHandler):
         else:
             self._error(404, f"no such job endpoint: {sub}")
 
-    def _events(self, query: dict) -> None:
-        kinds = None
-        if query.get("kinds"):
-            kinds = [
-                k for k in query["kinds"][0].split(",") if k
-            ] or None
-        replay = query.get("replay", ["0"])[0] not in ("", "0")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-store")
-        # SSE is unbounded: no Content-Length, so close delimits it.
-        self.send_header("Connection", "close")
-        self.end_headers()
-        try:
-            for chunk in sse.event_stream(
-                self.server.bus,
-                heartbeat=self.server.heartbeat,
-                kinds=kinds,
-                replay=replay,
-            ):
-                self.wfile.write(chunk)
-                self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # client disconnected; the generator unsubscribes
-        self.close_connection = True
-
     # -- POST --------------------------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         _REQUESTS.inc()
+        try:
+            self._submit()
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # client went away mid-response
+
+    def _submit(self) -> None:
         route = urlparse(self.path).path.rstrip("/")
         if route != "/jobs":
             self._error(404, f"no such endpoint: {route}")
             return
+        header = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = 0
+            length = int(header) if header.isdigit() else -1
+        except ValueError:  # a non-ASCII digit, or too many digits
+            length = -1
+        if length < 0:
+            # Where the body ends is unknown, so the connection cannot
+            # carry another request.
+            self.close_connection = True
+            self._error(
+                400,
+                f"Content-Length must be a non-negative integer, "
+                f"got {header!r}",
+            )
+            return
         if length > MAX_BODY_BYTES:
             self._error(413, "request body too large")
             return

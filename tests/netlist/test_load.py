@@ -129,10 +129,9 @@ class TestLoadModel:
         assert rc.total_capacitance == pytest.approx(6e-9)
 
     def test_sta_and_power_share_fanout_counts(self):
-        from repro.netlist import power, sta
+        from repro.netlist import sta
 
         assert sta.fanout_counts is fanout_counts
-        assert power.fanout_counts is fanout_counts
 
 
 @pytest.mark.parametrize("technology", ("EGFET", "CNT"))

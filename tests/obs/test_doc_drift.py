@@ -37,9 +37,7 @@ INSTRUMENTED_MODULES = (
     "repro.mc.engine",
     "repro.place.placer",
     "repro.apps.place",
-    "repro.obs.live",
     "repro.serve.jobs",
-    "repro.serve.sse",
     "repro.serve.server",
 )
 
@@ -118,8 +116,8 @@ class TestServeDocDrift:
         names = documented_metric_names(SERVE_DOC)
         assert "serve.dedup_hits" in names
         assert "serve.queue_wait_s" in names
-        assert "serve.sse.dropped" in names
-        assert "live.events_published" in names
+        assert "serve.jobs.failed" in names
+        assert "serve.job.wall_s" in names
 
     def test_every_serve_documented_metric_is_registered(self):
         registry = self._registered()

@@ -1,9 +1,8 @@
-"""Pluggable progress sink: default lines byte-identical, sinks, bus."""
+"""Pluggable progress sink: default lines byte-identical, sinks."""
 
 import io
 
 from repro import obs
-from repro.obs import live
 from repro.obs.progress import ProgressEvent, format_progress_line, progress
 
 
@@ -99,16 +98,3 @@ class TestProgressSink:
             assert events == []
         finally:
             obs.set_progress_sink(None)
-
-    def test_bus_receives_progress_events(self, obs_enabled):
-        bus = live.activate()
-        sub = bus.subscribe()
-        try:
-            list(progress(range(20), "loop", every=10,
-                          stream=io.StringIO(), heartbeat=0))
-        finally:
-            live.deactivate()
-        events = [e for e in sub.get(timeout=0) if e["kind"] == "progress"]
-        assert [e["data"]["done"] for e in events] == [10, 20]
-        assert events[0]["data"]["percent"] == 50
-        assert events[-1]["data"]["final"] is True

@@ -17,7 +17,6 @@ import pytest
 
 from repro import obs
 from repro.cli import Option
-from repro.obs import live
 from repro.serve import drivers
 from repro.serve.jobs import JobManager
 from repro.serve.server import POLL_INTERVAL_S, ReproServer
@@ -55,10 +54,9 @@ def _run_fanout(params):
 
 @pytest.fixture
 def serve_obs():
-    """Enabled obs + active live bus + probe drivers, torn down after."""
+    """Enabled obs + probe drivers, torn down after."""
     obs.reset()
     obs.enable()
-    bus = live.activate(live.LiveBus(buffer=64))
     drivers.register_driver(
         "echo",
         (
@@ -73,11 +71,10 @@ def serve_obs():
         _run_fanout,
     )
     try:
-        yield bus
+        yield obs
     finally:
         drivers.DRIVERS.pop("echo", None)
         drivers.DRIVERS.pop("fanout", None)
-        live.deactivate()
         obs.disable()
         obs.reset()
 
@@ -85,21 +82,17 @@ def serve_obs():
 @pytest.fixture
 def manager(serve_obs):
     mgr = JobManager(workers=1)
-    serve_obs.add_tap(mgr.tap)
     mgr.start()
     try:
         yield mgr
     finally:
         mgr.stop()
-        serve_obs.remove_tap(mgr.tap)
 
 
 @pytest.fixture
 def server(serve_obs, manager):
     """A live ReproServer on an ephemeral port; yields its base URL."""
-    srv = ReproServer(
-        ("127.0.0.1", 0), manager, serve_obs, heartbeat=0.2
-    )
+    srv = ReproServer(("127.0.0.1", 0), manager)
     thread = threading.Thread(
         target=srv.serve_forever,
         kwargs={"poll_interval": POLL_INTERVAL_S},

@@ -1,5 +1,6 @@
 """End-to-end HTTP surface: endpoints, exposition, traces, dedup."""
 
+import http.client
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro import obs
 from repro.apps.yieldcli import YIELD_OPTIONS
 from repro.cli import parse
+from repro.serve.server import RequestHandler
 
 from tests.obs.test_promtext import parse_prometheus
 from tests.serve.conftest import get, get_json, post_json, wait_until
@@ -150,6 +152,35 @@ class TestJobsEndpoint:
         except urllib.error.HTTPError as exc:
             assert exc.code == 413
 
+    @pytest.mark.parametrize("length", ["-5", "abc"])
+    def test_bad_content_length_400_closes(self, server, length):
+        host, port = server[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(b'{"kind": "echo"}')
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
+        assert response.getheader("Connection") == "close"
+        assert get_json(f"{server}/healthz")[0] == 200
+
+    def test_post_to_a_departed_client_is_quiet(self, server, monkeypatch,
+                                                 capsys):
+        def departed(self, status, body, content_type):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(RequestHandler, "_send", departed)
+        with pytest.raises(OSError):  # no response: the socket closes
+            post_json(f"{server}/jobs", {"kind": "nonsense"})
+        monkeypatch.undo()
+        assert get_json(f"{server}/healthz")[0] == 200
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestBadParams:
     @pytest.mark.parametrize("kind, params", [
@@ -185,4 +216,4 @@ class TestStatusPage:
         assert headers["Content-Type"].startswith("text/html")
         html = body.decode()
         assert done["id"] in html
-        assert "EventSource" in html  # SSE auto-refresh wiring
+        assert '<meta http-equiv="refresh" content="2">' in html

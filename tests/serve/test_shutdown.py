@@ -1,15 +1,10 @@
 """Graceful-shutdown regression: a real ``python -m repro serve``
-subprocess must drain on SIGTERM, emit the final SSE ``shutdown``
-event, and exit 0."""
+subprocess must drain on SIGTERM and exit 0."""
 
-import http.client
 import os
 import signal
 import subprocess
 import sys
-import threading
-import time
-import urllib.request
 
 import pytest
 
@@ -25,7 +20,7 @@ def serve_process(tmp_path):
     env["REPRO_HISTORY_DIR"] = str(tmp_path / "history")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--heartbeat", "1", "--tick", "0.5", "--drain-timeout", "10"],
+         "--drain-timeout", "10"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -43,35 +38,12 @@ def serve_process(tmp_path):
         proc.wait(timeout=10)
 
 
-def _collect_sse(base, events, stop):
-    host, port = base[len("http://"):].split(":")
-    conn = http.client.HTTPConnection(host, int(port), timeout=30)
-    conn.request("GET", "/events")
-    resp = conn.getresponse()
-    try:
-        while not stop.is_set():
-            line = resp.readline()
-            if not line:
-                break
-            if line.startswith(b"event: "):
-                events.append(line[len(b"event: "):].strip().decode())
-    finally:
-        conn.close()
-
-
 class TestSigtermShutdown:
     def test_drains_and_exits_zero(self, serve_process):
         proc, base = serve_process
         status, health = get_json(f"{base}/healthz")
         assert status == 200 and health["status"] == "ok"
         assert get_json(f"{base}/readyz")[0] == 200
-
-        events: list[str] = []
-        stop = threading.Event()
-        collector = threading.Thread(
-            target=_collect_sse, args=(base, events, stop), daemon=True
-        )
-        collector.start()
 
         status, job = post_json(
             f"{base}/jobs",
@@ -89,10 +61,6 @@ class TestSigtermShutdown:
         assert proc.wait(timeout=30) == 0
         stdout = proc.stdout.read()
         assert "shutdown complete" in stdout
-        collector.join(timeout=5)
-        stop.set()
-        assert "shutdown" in events  # final SSE event reached the client
-        assert "job" in events  # lifecycle events flowed while alive
 
     def test_sigterm_while_idle_exits_zero(self, serve_process):
         proc, base = serve_process
