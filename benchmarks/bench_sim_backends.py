@@ -2,9 +2,10 @@
 
 Times lock-step co-simulation (the hot loop behind every headline
 result: Figure 7/8 verification, fault campaigns, measured-activity
-power) on the standard sweep cores with both backends, plus a sampled
-fault campaign with the interpreted, per-fault compiled, and
-bit-parallel batched engines, plus the tracked full-stride campaign
+power) on the standard sweep cores with both ``CoSimHarness`` backends
+(the interpreter, and the compiled kernel at one bigint lane), plus a
+sampled fault campaign with the interpreted and bit-parallel batched
+engines, plus the tracked full-stride campaign
 (``fault_campaign_numpy``) that races the bigint lane backend against
 the vectorized numpy bit-slice backend on every fault site of the
 p1_8_2 mult8 core -- the headline the numpy backend must hold:
@@ -34,20 +35,19 @@ against their rolling median/MAD baseline -- see
 ``docs/OBSERVABILITY.md``).
 
 It also measures the *instrumentation overhead budget*: the p1_8_2
-co-simulation is timed with the obs switch off and on, interleaved,
-and ``--check`` fails the run if enabling the whole layer costs more
-than 2%.  (The disabled path is strictly cheaper than the enabled path
--- the hooks share one guard -- so this bounds disabled-mode overhead
-too.  The timed harness carries *no attached probes*, so the budget
-also covers the probe hook added to ``CycleSimulator.tick`` -- an
-empty-list truth test per edge.  The delta against the checked-in
+compiled co-simulation (one bigint lane) is timed with the obs switch
+off and on, interleaved, and ``--check`` fails the run if enabling the
+whole layer costs more than 2%.  (The disabled path is strictly
+cheaper than the enabled path -- the hooks share one guard -- so this
+bounds disabled-mode overhead too.  The delta against the checked-in
 baseline's disabled rate is reported as ``baseline_regression_pct``
 but not asserted, since absolute rates are machine-dependent.)
 
 The cost of *enabled* probing -- a full architectural
 :class:`~repro.netlist.probe.WaveProbe` plus an
-:class:`~repro.netlist.probe.InstructionEnergyProfiler` attached -- is
-measured the same paired way and recorded as the ``probe_overhead``
+:class:`~repro.netlist.probe.InstructionEnergyProfiler` attached to
+the interpreted co-simulation, the only simulator that hosts probes --
+is measured the same paired way and recorded as the ``probe_overhead``
 section (informational: probing is opt-in, so it has no budget).
 
 Run from the repository root::
@@ -106,7 +106,7 @@ def _cosim_rate(
     """Steady-state co-simulation throughput in cycles/second."""
     program = _program_for(config)
     harness = CoSimHarness(program, config, backend=backend)
-    for _ in range(5):  # warm-up (and compile, for the compiled backend)
+    for _ in range(5):  # warm-up (and compile, for the compiled kernel)
         harness.step()
     cycles = 0
     elapsed = 0.0
@@ -147,7 +147,7 @@ def bench_fault_campaign(max_faults: int = 40) -> dict:
     program = build_benchmark("mult", 8, 8)
     results = {}
     reference = None
-    for backend in ("interpreted", "compiled", "batched"):
+    for backend in ("interpreted", "batched"):
         with obs.span("bench_fault_campaign", backend=backend):
             start = time.perf_counter()
             campaign = run_fault_campaign(
@@ -168,10 +168,9 @@ def bench_fault_campaign(max_faults: int = 40) -> dict:
             f"fault campaign [{backend:>11}]: {campaign.total} faults in "
             f"{elapsed:6.2f}s ({campaign.detected} detected)"
         )
-    for backend in ("compiled", "batched"):
-        results[backend]["speedup"] = round(
-            results["interpreted"]["seconds"] / max(1e-9, results[backend]["seconds"]), 2
-        )
+    results["batched"]["speedup"] = round(
+        results["interpreted"]["seconds"] / max(1e-9, results["batched"]["seconds"]), 2
+    )
     return results
 
 
@@ -368,7 +367,8 @@ def _scaling_regression(out_path: Path, scaling: dict) -> float | None:
 
 
 def bench_obs_overhead(pairs: int = 64, chunk: int = 256) -> dict:
-    """Cost of the observability layer on the p1_8_2 compiled cosim.
+    """Cost of the observability layer on the p1_8_2 compiled cosim
+    (one bigint lane).
 
     One warm harness runs ``pairs`` back-to-back chunk pairs, one side
     of each pair with the obs switch off and one with it on, order
@@ -416,7 +416,7 @@ def bench_obs_overhead(pairs: int = 64, chunk: int = 256) -> dict:
 
 
 def bench_probe_overhead(pairs: int = 48, chunk: int = 160) -> dict:
-    """Cost of enabled probing on the p1_8_2 compiled cosim.
+    """Cost of enabled probing on the p1_8_2 interpreted cosim.
 
     Same paired-chunk scheme as :func:`bench_obs_overhead`, but the
     A/B axis is probes attached vs detached: one side of each pair
@@ -433,8 +433,8 @@ def bench_probe_overhead(pairs: int = 48, chunk: int = 160) -> dict:
     )
     from repro.pdk import technology_library
 
-    harness = CoSimHarness(_program_for(HEADLINE), HEADLINE, backend="compiled")
-    for _ in range(64):  # warm-up: compile and reach steady state
+    harness = CoSimHarness(_program_for(HEADLINE), HEADLINE)
+    for _ in range(64):  # warm-up: reach steady state
         harness.step()
     netlist = harness.netlist
     signals = resolve_probes(netlist, groups=("pc", "flags", "bars", "bus"))

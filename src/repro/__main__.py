@@ -187,15 +187,15 @@ def run_stats_probe() -> None:
     """Exercise the instrumented flow so ``stats`` has data to show.
 
     Runs one gate-level co-simulation (compiling the netlist, ticking
-    the simulator) plus a repeated design evaluation, which together
+    one bigint lane) plus a repeated design evaluation, which together
     touch the compile cache, the elaboration memo, the ISS, and the
-    cycle counters.
+    lane cycle counters.
     """
     from repro.coregen.cosim import cosim_verify
     from repro.coregen.generator import generate_core
     from repro.dse.sweep import evaluate_design
     from repro.coregen.config import CoreConfig
-    from repro.netlist.sim import CycleSimulator
+    from repro.netlist.compile import compiled_netlist
     from repro.programs import build_benchmark
 
     program = build_benchmark("mult", 8, 8)
@@ -206,7 +206,7 @@ def run_stats_probe() -> None:
     config = CoreConfig(datawidth=8)
     # Second consumers of the same design: the elaboration memo, the
     # compiled-code cache, and the evaluation cache all register hits.
-    CycleSimulator(generate_core(config), backend="compiled")
+    compiled_netlist(generate_core(config))
     evaluate_design(config, "EGFET")
     evaluate_design(config, "EGFET")
 

@@ -1,11 +1,11 @@
 """``python -m repro campaign``: fault campaigns from the command line.
 
 Runs a stuck-at fault-injection campaign for one benchmark on one
-core configuration, on any of the four simulation backends::
+core configuration, on any of the three campaign backends::
 
     python -m repro campaign --program mult --width 8 --backend numpy
     python -m repro campaign --backend batched --stride 4 --jobs 2
-    python -m repro campaign --config p1_8_2 --backend compiled --max-faults 20
+    python -m repro campaign --config p1_8_2 --backend interpreted --max-faults 20
 
 and ``python -m repro campaign --verify-suite`` lane-packs every
 native-width benchmark through the selected lane backend and diffs
@@ -13,7 +13,7 @@ each lane against the instruction-set simulator (the
 :func:`repro.eval.suite.verify_suite` hook).
 
 See ``docs/MODELS.md`` ("Simulation backends") for how to pick a
-backend and ``docs/TESTING.md`` for campaign semantics.
+backend and what a campaign's lanes carry.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ CAMPAIGN_OPTIONS = (
     replace(cli.CONFIG, default=None,
             help="core pP_D_B (None: one-stage core of --width bits)"),
     cli.Option("--backend", str, "numpy", "simulation backend",
-               choices=(*LANE_BACKENDS, "compiled", "interpreted")),
+               choices=(*LANE_BACKENDS, "interpreted")),
     cli.Option("--stride", cli.positive_int, 8, "inject every N-th fault"),
     cli.Option("--max-faults", cli.positive_int, None, "fault cap"),
     cli.Option("--lanes", cli.positive_int, None,

@@ -3,8 +3,9 @@
 The observability counterpart to co-simulation: instead of asking *is
 the core correct*, ask *where do its cycles and energy go*.  One
 profiling run drives a generated core through a benchmark on the
-gate-level simulator with probes attached
-(:mod:`repro.netlist.probe`) and produces:
+interpreted gate-level simulator -- the one that counts toggles and
+hosts probes -- with probes attached (:mod:`repro.netlist.probe`) and
+produces:
 
 * a per-module / per-cell-type energy attribution
   (:func:`repro.netlist.power.attributed_power_report`) whose buckets
@@ -42,7 +43,6 @@ from repro import cli
 from repro.coregen.config import CoreConfig, config_from_name
 from repro.coregen.cosim import CoSimHarness, run_to_halt
 from repro.errors import ConfigError, ProgramError, SimulationError
-from repro.netlist.sim import BACKENDS
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.trace import span as _obs_span
 
@@ -68,8 +68,6 @@ PROFILE_OPTIONS = (
     replace(cli.CONFIGS, default=[cli.CONFIG.default]),
     replace(cli.PROGRAM, default="crc8"),
     cli.TECHNOLOGY,
-    cli.Option("--backend", str, "compiled", "gate-level simulator",
-               choices=BACKENDS),
     cli.Option("--vcd", str, None, "write a waveform of the probed nets"),
     cli.Option("--energy-report", str, None, "write the profile JSON here"),
     cli.Option("--top", cli.positive_int, 10, "hottest instructions shown"),
@@ -116,7 +114,6 @@ def profile_design(
     config: CoreConfig,
     program_name: str = "crc8",
     technology: str = "EGFET",
-    backend: str = "compiled",
     max_cycles: int = 200_000,
     vcd_path=None,
     top: int = 10,
@@ -131,7 +128,6 @@ def profile_design(
         config: The core to generate and simulate.
         program_name: Benchmark to run (see :data:`repro.programs.BENCHMARKS`).
         technology: ``"EGFET"`` or ``"CNT-TFT"`` cell energies.
-        backend: Gate-level backend (``compiled`` default).
         max_cycles: Simulation bound before giving up.
         vcd_path: When set, write a VCD of the probed nets there.
         top: Instructions kept in the per-instruction section.
@@ -140,7 +136,8 @@ def profile_design(
         probe_names / probe_regex / probe_groups: Probe selection
             forwarded to :func:`repro.netlist.probe.resolve_probes`.
 
-    The returned dict carries :data:`PROFILE_SCHEMA`, the attribution
+    The returned dict carries :data:`PROFILE_SCHEMA`, the simulator
+    that produced it (``"backend": "interpreted"``), the attribution
     dicts (which sum bit-exactly to ``energy_per_cycle`` -- see
     :meth:`repro.netlist.power.AttributedPowerReport.conservation_error`),
     the per-instruction histogram, and trace-window accounting.
@@ -162,10 +159,9 @@ def profile_design(
         design=config.name,
         program=program.name,
         technology=library.name,
-        backend=backend,
     ):
         _PROFILE_RUNS.inc()
-        harness = CoSimHarness(program, config, backend=backend)
+        harness = CoSimHarness(program, config)
         netlist = harness.netlist
         signals = resolve_probes(
             netlist,
@@ -211,7 +207,7 @@ def profile_design(
             "design": config.name,
             "program": program.name,
             "technology": library.name,
-            "backend": backend,
+            "backend": "interpreted",
             "cycles": cycles,
             "energy_per_cycle": report.total.energy_per_cycle,
             "total_energy": total_energy,
@@ -376,7 +372,6 @@ def profile_main(argv: list[str]) -> int:
             per_config_options=overrides,
             program_name=args.program,
             technology=args.technology,
-            backend=args.backend,
             max_cycles=args.max_cycles,
             top=args.top,
             trace_maxlen=args.trace_maxlen,

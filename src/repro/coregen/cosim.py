@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from repro.errors import SimulationError
 from repro.isa.program import Program
 from repro.isa.spec import Flag, Instruction, Mnemonic
+from repro.netlist.compile import BitParallelSimulator
+from repro.netlist.faults import FaultySimulator
 from repro.netlist.lanes import clock_schedule
 from repro.netlist.sim import CycleSimulator
 from repro.obs.metrics import counter as _obs_counter
@@ -89,10 +91,13 @@ class CoSimHarness:
         program: The program image to run.
         config: Core configuration; defaults to a standard single-stage
             core matching the program's datawidth and BAR count.
-        backend: Gate-level simulation backend; the compiled backend is
-            the default (bit-exact with the interpreter and about 6-7x
-            faster per cycle once its code exists -- see
-            ``docs/MODELS.md``).
+        backend: ``"interpreted"`` (default) runs
+            :class:`~repro.netlist.sim.CycleSimulator`, the reference,
+            which counts toggles and hosts probes.  ``"compiled"`` runs
+            the compiled kernel at one bigint lane
+            (:class:`~repro.netlist.compile.BitParallelSimulator`):
+            bit-exact and several times faster per cycle once its code
+            exists, but with neither (see ``docs/MODELS.md``).
         fault: Optional stuck-at fault injected into the gate-level
             side only (the differential fuzzer uses this to prove it
             detects real netlist defects -- see ``docs/VERIFY.md``).
@@ -102,7 +107,7 @@ class CoSimHarness:
         self,
         program: Program,
         config: CoreConfig | None = None,
-        backend: str = "compiled",
+        backend: str = "interpreted",
         fault=None,
     ) -> None:
         if config is None:
@@ -115,12 +120,20 @@ class CoSimHarness:
         self.config = config
         self.netlist = generate_core(config)
         self._schedule = clock_schedule(self.netlist)
-        if fault is not None:
-            from repro.netlist.faults import FaultySimulator
-
-            self.sim = FaultySimulator(self.netlist, fault, backend=backend)
+        if backend == "interpreted":
+            self.sim = (
+                CycleSimulator(self.netlist) if fault is None
+                else FaultySimulator(self.netlist, fault)
+            )
+            self._read_nets = self.sim.read_flop_bus
+        elif backend == "compiled":
+            sim = self.sim = BitParallelSimulator(self.netlist, faults=[fault])
+            self._read_nets = lambda nets: sim.read_nets(nets)[0]
         else:
-            self.sim = CycleSimulator(self.netlist, backend=backend)
+            raise SimulationError(
+                f"unknown simulation backend {backend!r} "
+                "(choose from interpreted, compiled)"
+            )
         self._flag_nets, self._bar_nets = architectural_nets(self.netlist)
         self.rom = encode_program_for_core(program, config)
         self.memory = [0] * config.data_memory_words()
@@ -149,9 +162,8 @@ class CoSimHarness:
 
     def step(self) -> None:
         """Run one clock cycle (:class:`~repro.netlist.lanes.ClockSchedule`)."""
-        sim = self.sim
         we, waddr, wdata = self._schedule.clock(
-            sim, sim.read_output, self._fetch, self.memory.__getitem__
+            self.sim, self._read, self._fetch, self.memory.__getitem__
         )
         if we:
             self.memory[waddr] = wdata
@@ -160,23 +172,27 @@ class CoSimHarness:
 
     # -- state access ---------------------------------------------------------
 
+    def _read(self, name: str) -> int:
+        """Output bus ``name`` as one integer (lane 0 on the compiled kernel)."""
+        return self._read_nets(self.netlist.outputs[name].nets)
+
     @property
     def pc(self) -> int:
         """Current PC: flop outputs (the clock schedule checks), so no settle."""
-        return self.sim.read_output("pc")
+        return self._read("pc")
 
     def flag(self, flag: Flag) -> int:
         """Current value of one architectural flag's flop."""
         nets = self._flag_nets.get(flag.name)
         if not nets:
             return 0
-        return self.sim.read_flop_bus(nets)
+        return self._read_nets(nets)
 
     def bar(self, index: int) -> int:
         """Current value of settable BAR ``index`` (0 is hardwired)."""
         if index == 0 or index >= self.config.num_bars:
             return 0
-        return self.sim.read_flop_bus(self._bar_nets.get(index, ()))
+        return self._read_nets(self._bar_nets.get(index, ()))
 
 
 def cosim_verify(
@@ -192,6 +208,9 @@ def cosim_verify(
     executes instructions; multi-stage cores run until the PC parks in
     the HALT self-loop (which also exercises the stall/flush control).
     PC, flags, BARs, and the full data memory are compared afterwards.
+    ``backend`` is :class:`CoSimHarness`'s: the compiled kernel at one
+    bigint lane by default (no toggles are read here), or
+    ``"interpreted"``.
 
     Returns:
         A list of mismatches -- empty means the core is equivalent on

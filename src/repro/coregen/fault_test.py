@@ -15,12 +15,12 @@ advances many fault simulations.  Two lane backends exist --
 :data:`DEFAULT_LANES` faults per pass) and ``"numpy"`` (vectorized
 uint64 bit-slice :class:`repro.netlist.nsim.NumpySimulator`,
 :data:`DEFAULT_NUMPY_LANES` faults per pass with fully vectorized
-fetch/memory plumbing).  The ``"compiled"`` and ``"interpreted"``
-backends run one fault at a time and exist for cross-checking; all
-four produce identical campaigns.
+fetch/memory plumbing).  The ``"interpreted"`` backend runs one fault
+at a time on the reference simulator and exists for cross-checking;
+all three produce identical campaigns.
 
 On top of lane-level batching, ``jobs=`` fans batches (or, for the
-scalar backends, individual faults) out across worker processes via
+interpreted backend, individual faults) out across worker processes via
 :func:`repro.exec.parallel_map` with a warm-worker initializer that
 pre-builds the campaign context (netlist, ROM, compiled kernels) in
 each worker before the first chunk lands.  Judging happens in the
@@ -40,6 +40,7 @@ from repro.coregen.config import CoreConfig
 from repro.coregen.cosim import CoSimHarness, architectural_nets
 from repro.coregen.generator import generate_core
 from repro.coregen.isa_map import encode_for_core, encode_program_for_core
+from repro.errors import ConfigError
 from repro.exec import map_in_chunks, parallel_map
 from repro.isa.program import Program
 from repro.isa.spec import Instruction, Mnemonic
@@ -52,6 +53,10 @@ from repro.netlist.faults import (
 from repro.netlist.lanes import LaneMemoryHarness, LanePlan
 from repro.netlist.nsim import NumpySimulator
 from repro.sim.machine import Machine
+
+#: Campaign backends: bigint lanes, numpy lanes, one fault at a time
+#: on the interpreter.
+BACKENDS = ("batched", "numpy", "interpreted")
 
 #: Fault sites evaluated per bit-parallel pass in batched campaigns.
 DEFAULT_LANES = 48
@@ -324,7 +329,8 @@ def _judge_batch(
 
     ``runner`` is the lane backend (:func:`_run_batched` for bigint,
     :func:`_run_batched_numpy` for bit-slice).  Falls back to
-    one-at-a-time scalar simulation when the batched run itself raises,
+    one-at-a-time runs (the compiled kernel at one lane) when the
+    batched run itself raises,
     so a wedging fault is attributed to the lane that caused it --
     exactly the serial campaign's recovery path.
     """
@@ -358,8 +364,7 @@ def run_fault_campaign(
         max_faults: Optional cap on injected faults.
         backend: ``"batched"`` (default; bigint bit-parallel),
             ``"numpy"`` (vectorized bit-slice, fastest for large
-            campaigns), ``"compiled"`` (one fault at a time), or
-            ``"interpreted"``.
+            campaigns), or ``"interpreted"`` (one fault at a time).
         lanes: Faults per lane-parallel pass; defaults to
             :data:`DEFAULT_LANES` (batched) or
             :data:`DEFAULT_NUMPY_LANES` (numpy).
@@ -370,7 +375,15 @@ def run_fault_campaign(
     A fault is *detected* when the faulty run's architectural
     signature differs from the golden run's after the same cycle
     count.
+
+    Raises:
+        ConfigError: If ``backend`` is not one of :data:`BACKENDS`.
     """
+    if backend not in BACKENDS:
+        raise ConfigError(
+            f"unknown campaign backend {backend!r} "
+            f"(choose from {', '.join(BACKENDS)})"
+        )
     if config is None:
         config = CoreConfig(
             datawidth=program.datawidth,

@@ -47,17 +47,17 @@ class UnsupportedInLaneMode(SimulationError):
     Bit-parallel and numpy bit-slice simulators advance many
     independent runs per pass and do not maintain per-instance toggle
     counters (each lane would need a popcount per instance per cycle).
-    Callers that need toggle/power data must use a scalar backend;
-    asking a lane simulator raises this instead of silently returning
-    stale zeros.
+    Callers that need toggle/power data must use the interpreted
+    simulator; asking a lane simulator raises this instead of silently
+    returning stale zeros.
     """
 
     def __init__(self, feature: str, simulator: str) -> None:
         super().__init__(
             f"{feature} is not available in lane mode ({simulator} packs "
             "many independent runs per pass and keeps no per-instance "
-            "toggle state); use CycleSimulator with backend='interpreted' "
-            "or 'compiled' when toggle/power data is needed"
+            "toggle state); use the interpreted CycleSimulator when "
+            "toggle/power data is needed"
         )
         self.feature = feature
         self.simulator = simulator

@@ -6,15 +6,17 @@ whose logic operations map directly onto the printed standard-cell
 libraries, plus the analyses the paper reports -- static timing
 (:mod:`repro.netlist.sta`), activity-based power
 (:mod:`repro.netlist.power`), area/cell statistics
-(:mod:`repro.netlist.stats`) -- and a cycle-accurate gate-level
-simulator (:mod:`repro.netlist.sim`) used to verify generated cores
-against the instruction-set simulator.  The simulator has three
-bit-exact backends: a levelized interpreter, compiled straight-line
-code generated by :mod:`repro.netlist.compile` (which also provides
-bigint bit-parallel simulation -- N stimulus sets or faults per pass),
-and vectorized numpy bit-slice kernels (:mod:`repro.netlist.nsim`)
-that advance thousands of lanes per kernel call.  Lane batches are
-described backend-agnostically by :class:`repro.netlist.lanes.LanePlan`.
+(:mod:`repro.netlist.stats`) -- and cycle-accurate gate-level
+simulation used to verify generated cores against the
+instruction-set simulator.  Three bit-exact simulators exist: the
+levelized interpreter (:mod:`repro.netlist.sim`, the reference and the
+only one that counts toggles and hosts probes), bigint bit-parallel
+lanes over straight-line code generated by
+:mod:`repro.netlist.compile` (1 to N stimulus sets or faults per
+pass), and vectorized numpy bit-slice kernels
+(:mod:`repro.netlist.nsim`) that advance thousands of lanes per
+kernel call.  Lane batches are described backend-agnostically by
+:class:`repro.netlist.lanes.LanePlan`.
 
 Timing and power share one net-load model (:mod:`repro.netlist.load`):
 fanout-proportional capacitance in the wire-blind default, extended by
@@ -46,7 +48,6 @@ from repro.netlist.compile import (
     CompiledNetlist,
     compile_netlist,
     compiled_netlist,
-    make_capture,
 )
 from repro.netlist.lanes import LanePlan
 from repro.netlist.nsim import NumpyCompiled, NumpySimulator, numpy_netlist
@@ -65,7 +66,6 @@ __all__ = [
     "CompiledNetlist",
     "compile_netlist",
     "compiled_netlist",
-    "make_capture",
     "LanePlan",
     "NumpyCompiled",
     "NumpySimulator",

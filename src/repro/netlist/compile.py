@@ -4,22 +4,24 @@ The interpreted :class:`repro.netlist.sim.CycleSimulator` walks the
 levelized netlist one instance at a time, paying a dict lookup and a
 Python function call per gate per settle -- one full settle and one
 address-cone settle per co-simulated clock cycle
-(:class:`~repro.netlist.lanes.ClockSchedule`; this backend runs both
-in full).  This module removes that overhead Verilator-style: the netlist
+(:class:`~repro.netlist.lanes.ClockSchedule`; lanes run both in
+full).  This module removes that overhead Verilator-style: the netlist
 is translated *once* into straight-line Python source (one bitwise
 expression statement per gate, operating on local variables) which is
 ``compile()``d and ``exec``'d into ordinary functions.  Evaluating a
 settle is then a single call into a code object with no per-gate
 interpreter dispatch, which is an order of magnitude faster.
 
-Four functions are generated per netlist:
+Three functions are generated per netlist, all run by
+:class:`BitParallelSimulator` -- at one lane for fast scalar runs
+(``CoSimHarness(backend="compiled")``), at many for fault campaigns
+and lane-packed verification:
 
 ``settle(V, M)``
     Plain combinational settle over the value table ``V`` (a flat list
-    indexed by net id).  ``M`` is the *lane mask*: ``1`` for ordinary
-    scalar simulation, ``(1 << lanes) - 1`` for bit-parallel
-    simulation.  Cell inversions are emitted as ``x ^ M`` so the same
-    code object serves both modes.
+    indexed by net id).  ``M`` is the *lane mask*,
+    ``(1 << lanes) - 1``; cell inversions are emitted as ``x ^ M`` so
+    one code object serves every lane count.
 
 ``settle_forced(V, M, A, O)``
     Settle with per-net force masks: every value is passed through
@@ -30,26 +32,15 @@ Four functions are generated per netlist:
     compiled function therefore serves *every* fault site (no
     per-fault recompilation).
 
-``tick(V, P, T, resetting)``
-    Scalar clock edge with exact per-instance toggle accounting
-    (``P`` = previous settled value per instance index, ``T`` = toggle
-    counters), matching the interpreted simulator bit for bit.
-
 ``tick_lanes(V, M)``
     Bit-parallel clock edge.  Asynchronous reset is applied per lane
     (a lane whose ``rst_n`` bit is low captures 0).  Toggle counts are
-    not maintained in lane mode -- bit-parallel simulation exists for
-    fault campaigns and random-vector sweeps, which do not read them.
-
-:func:`make_capture` additionally generates standalone straight-line
-probe-capture functions (``capture(V) -> tuple``) for the waveform
-layer (:mod:`repro.netlist.probe`), reading an arbitrary net selection
-without a per-net Python loop.
+    not maintained -- they and probes live in the interpreted
+    simulator, the reference.
 
 The generated code caches on the netlist object itself
 (:func:`compiled_netlist`), so repeated simulator constructions --
-e.g. one :class:`~repro.netlist.faults.FaultySimulator` per fault site
--- compile exactly once.
+e.g. one one-lane simulator per fault site -- compile exactly once.
 """
 
 from __future__ import annotations
@@ -101,8 +92,6 @@ class CompiledNetlist:
     Attributes:
         settle: Plain straight-line settle ``(V, M)``.
         settle_forced: Settle with force masks ``(V, M, A, O)``.
-        tick: Scalar clock edge with toggle accounting
-            ``(V, P, T, resetting)``.
         tick_lanes: Bit-parallel clock edge ``(V, M)``.
         source: The generated Python source (kept for debugging).
         code: The compiled module code object (marshaled into the
@@ -111,7 +100,6 @@ class CompiledNetlist:
 
     settle: Callable[[list, int], None]
     settle_forced: Callable[[list, int, list, list], None]
-    tick: Callable[[list, list, list, bool], None]
     tick_lanes: Callable[[list, int], None]
     source: str = field(repr=False, default="")
     code: object = field(repr=False, default=None)
@@ -141,9 +129,8 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
 
 
 def _generate_source(netlist: Netlist) -> str:
-    """Emit the four straight-line functions as Python source."""
+    """Emit the three straight-line functions as Python source."""
     order = topological_order(netlist)
-    position = netlist.cells.order.tolist()
     flop_index = np.flatnonzero(netlist.cells.sequential).tolist()
     flops = [netlist.instances[k] for k in flop_index]
     comb_outputs = {inst.output for inst in order}
@@ -179,31 +166,6 @@ def _generate_source(netlist: Netlist) -> str:
         lines.append(f"    V[{inst.output}] = v{inst.output}")
     lines.append("    return")
 
-    # -- tick(V, P, T, resetting) ------------------------------------------
-    # Identical semantics to the interpreted tick: combinational toggle
-    # accounting against the previous cycle's settled value (P holds -1
-    # before the first tick), then a simultaneous flop capture with
-    # async reset and per-flop toggle counting.
-    lines.append("def tick(V, P, T, resetting):")
-    for inst, k in zip(order, position):
-        lines.append(f"    p = P[{k}]")
-        lines.append(f"    x = V[{inst.output}]")
-        lines.append("    if p != x:")
-        lines.append(f"        if p >= 0: T[{k}] += 1")
-        lines.append(f"        P[{k}] = x")
-    for j, flop in enumerate(flops):
-        lines.append(f"    d{j} = V[{flop.inputs[0]}]")
-    reset_flops = [j for j, f in enumerate(flops) if f.cell == "DFFNRX1"]
-    if reset_flops:
-        lines.append("    if resetting:")
-        for j in reset_flops:
-            lines.append(f"        d{j} = 0")
-    for j, (flop, k) in enumerate(zip(flops, flop_index)):
-        lines.append(f"    if V[{flop.output}] != d{j}:")
-        lines.append(f"        T[{k}] += 1")
-        lines.append(f"        V[{flop.output}] = d{j}")
-    lines.append("    return")
-
     # -- tick_lanes(V, M) --------------------------------------------------
     # Per-lane asynchronous reset: a DFFNRX1 lane captures its D bit
     # ANDed with the (active-low) reset lane bit.
@@ -221,26 +183,6 @@ def _generate_source(netlist: Netlist) -> str:
     return "\n".join(lines)
 
 
-def make_capture(netlist: Netlist, nets: Sequence[int]) -> Callable[[list], tuple]:
-    """Generate a straight-line probe-capture function for ``nets``.
-
-    Returns a compiled ``capture(V) -> tuple`` that reads the listed
-    nets (in order) out of the flat value table -- the compiled
-    backend's analogue of the interpreted simulator's per-net reads,
-    used by :class:`repro.netlist.probe.WaveProbe` so waveform capture
-    pays no per-net Python indexing loop.  Values are returned exactly
-    as stored, so interpreted and compiled captures are bit-identical.
-    """
-    for net in nets:
-        if not 0 <= net < netlist.net_count:
-            raise SimulationError(f"cannot capture unknown net {net}")
-    body = ", ".join(f"V[{net}]" for net in nets)
-    source = f"def capture(V):\n    return ({body}{',' if nets else ''})"
-    namespace: dict = {}
-    exec(compile(source, f"<capture:{netlist.name}>", "exec"), namespace)
-    return namespace["capture"]
-
-
 def _bind(code, source: str) -> CompiledNetlist:
     """Exec a generated module code object into a :class:`CompiledNetlist`."""
     namespace: dict = {}
@@ -248,7 +190,6 @@ def _bind(code, source: str) -> CompiledNetlist:
     return CompiledNetlist(
         settle=namespace["settle"],
         settle_forced=namespace["settle_forced"],
-        tick=namespace["tick"],
         tick_lanes=namespace["tick_lanes"],
         source=source,
         code=code,
@@ -331,7 +272,8 @@ class BitParallelSimulator:
     faulty machines into one run.
 
     Toggle counts are not maintained (see module docstring); use the
-    scalar compiled backend when measured-activity power is needed.
+    interpreted :class:`~repro.netlist.sim.CycleSimulator` when
+    measured-activity power is needed.
 
     Args:
         netlist: A validated, technology-mapped netlist.

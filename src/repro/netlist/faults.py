@@ -41,36 +41,18 @@ class FaultySimulator(CycleSimulator):
     """A cycle simulator with one injected stuck-at fault.
 
     The faulted instance's output is forced to the stuck value after
-    every combinational settle and on every flip-flop capture.  With
-    ``backend="compiled"`` the forcing runs through the generated
-    ``settle_forced`` code (masks select the fault site), so one
-    compiled netlist serves every fault site without recompilation.
+    every combinational settle and on every flip-flop capture.  Lane
+    runs force faults through the compiled ``settle_forced`` kernel
+    instead (:class:`~repro.netlist.compile.BitParallelSimulator`).
     """
 
-    def __init__(
-        self, netlist: Netlist, fault: StuckAtFault, backend: str = "interpreted"
-    ) -> None:
-        super().__init__(netlist, backend=backend)
+    def __init__(self, netlist: Netlist, fault: StuckAtFault) -> None:
+        super().__init__(netlist)
         _SIMULATORS_BUILT.inc()
         if not 0 <= fault.instance_index < len(netlist.instances):
             raise SimulationError(f"no instance {fault.instance_index}")
         self.fault = fault
         self._fault_net = int(netlist.cells.output[fault.instance_index])
-        self._force_and: list[int] | None = None
-        self._force_or: list[int] | None = None
-        if self._compiled is not None:
-            self._force_and = [1] * netlist.net_count
-            self._force_or = [0] * netlist.net_count
-            self._force_and[self._fault_net] = 0
-            self._force_or[self._fault_net] = fault.stuck_value
-
-    def settle(self) -> None:
-        if self._compiled is not None:
-            self._compiled.settle_forced(
-                self._values, 1, self._force_and, self._force_or
-            )
-        else:
-            self._evaluate(self._order)
 
     def _evaluate(self, cells) -> None:
         # Levelized evaluation with the faulted driver overridden *in

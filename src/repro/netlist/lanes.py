@@ -49,8 +49,7 @@ netlist where an output the clock reads depends combinationally on an
 input the clock provides after reading it.  Only the interpreted
 simulator restricts the address settle to the cone (84 cells of the
 344-1611 combinational ones on the 2-BAR sweep cores, 180 with 4
-BARs); the compiled, bigint and numpy backends settle in full for
-that step.
+BARs); the bigint and numpy lanes settle in full for that step.
 """
 
 from __future__ import annotations

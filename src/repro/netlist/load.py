@@ -26,11 +26,13 @@ the arithmetic collapses bit-exactly to the historical fanout-only
 derate (pinned by ``tests/netlist/test_load.py``).  Placement-derived
 annotations come from :func:`repro.place.rc_annotation`.
 
-The wire-blind analyses share one technology-independent index per
-netlist, :func:`cell_kinds`: each instance's cell kind, whether it
-holds state, and the fanout load on its output net, derived from the
-netlist's frozen cell arrays.  A technology then prices each cell kind
-once, not each instance.
+Both analyses share one technology-independent index per netlist,
+:func:`cell_kinds`: each instance's cell kind, whether it holds state,
+and the fanout load on its output net, derived from the netlist's
+frozen cell arrays.  A technology then prices each cell kind once, not
+each instance, and :func:`output_wires` adds each output net's routed
+parasitics as arrays (zeros when wire-blind), so the wire-blind and
+wire-aware analyses run the same vectorized arithmetic.
 """
 
 from __future__ import annotations
@@ -183,6 +185,18 @@ class RCAnnotation:
     def total_capacitance(self) -> float:
         """Summed wire capacitance over every annotated net, in farads."""
         return sum(wire.capacitance for wire in self.nets.values())
+
+
+def output_wires(netlist: Netlist, rc: RCAnnotation | None) -> np.ndarray:
+    """Wire capacitance (F) and delay (s) rows, ``(2, cells)``, of each
+    instance's output net, zero where unrouted.  With ``rc=None`` they
+    are ``(2, 1)`` zeros, which broadcast over every instance."""
+    if rc is None:
+        return np.zeros((2, 1))
+    wires = np.zeros((2, netlist.net_count))
+    for net, wire in rc.nets.items():
+        wires[:, net] = wire.capacitance, wire.delay
+    return wires.take(netlist.cells.output, axis=1)
 
 
 def net_derate(

@@ -51,8 +51,8 @@ neither pickled nor cached on disk.
 Like the bigint lane mode, no per-instance toggle counters are kept:
 :meth:`NumpySimulator.toggle_counts` raises
 :class:`~repro.errors.UnsupportedInLaneMode` instead of returning
-stale zeros.  Bit-exactness against the interpreted/compiled backends
-is asserted across the whole Figure 7 sweep by
+stale zeros.  Bit-exactness against the interpreter and the bigint
+lanes is asserted across the whole Figure 7 sweep by
 ``tests/test_sim_compiled.py``.
 """
 
@@ -166,7 +166,7 @@ def topological_order(netlist: Netlist) -> list[Instance]:
     the one FIFO Kahn pass :meth:`~repro.netlist.core.Netlist.freeze`
     runs (a combinational loop raises :class:`TimingError` there), and
     every netlist walk uses it: the levelized row layout below (and
-    through it STA), the interpreted and compiled simulators, probes,
+    through it STA), the interpreter, the compiled lane kernel, probes,
     the variation oracle and the placer.
     """
     instances = netlist.instances

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.netlist.core import Netlist, SEQUENTIAL_CELLS
-from repro.netlist.load import RCAnnotation, cell_kinds, ordered_sum
+from repro.netlist.load import RCAnnotation, cell_kinds, ordered_sum, output_wires
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.trace import span as _obs_span
 from repro.pdk.cells import CellLibrary
@@ -108,37 +108,20 @@ def power_report(
     """
     with _obs_span("power", design=netlist.name, technology=library.name):
         _POWER_REPORTS.inc()
-        if rc is None:
-            # One lookup per cell kind; the energies add in instance order.
-            kinds = cell_kinds(netlist)
-            energy = kinds.spread(
-                [library.cell(name).energy * activity for name in kinds.names]
-            )
-            combinational = ordered_sum(energy[~kinds.sequential])
-            sequential = ordered_sum(energy[kinds.sequential])
-            return PowerReport(
-                energy_per_cycle=combinational + sequential,
-                combinational_energy=combinational,
-                sequential_energy=sequential,
-                activity=activity,
-            )
-        combinational = 0.0
-        sequential = 0.0
-        wire_total = 0.0
-        for instance in netlist.instances:
-            wire = rc.switch_energy(instance.output, library.vdd)
-            energy = (library.cell(instance.cell).energy + wire) * activity
-            wire_total += wire * activity
-            if instance.cell in SEQUENTIAL_CELLS:
-                sequential += energy
-            else:
-                combinational += energy
+        # One lookup per cell kind; the energies add in instance order.
+        kinds = cell_kinds(netlist)
+        capacitance = output_wires(netlist, rc)[0]
+        wire = 0.5 * capacitance * library.vdd * library.vdd
+        cell = kinds.spread([library.cell(name).energy for name in kinds.names])
+        energy = (cell + wire) * activity
+        combinational = ordered_sum(energy[~kinds.sequential])
+        sequential = ordered_sum(energy[kinds.sequential])
         return PowerReport(
             energy_per_cycle=combinational + sequential,
             combinational_energy=combinational,
             sequential_energy=sequential,
             activity=activity,
-            wire_energy=wire_total,
+            wire_energy=ordered_sum(wire * activity),
         )
 
 

@@ -12,10 +12,7 @@ box:
   generator assigns (``flag_Z`` scopes under ``flags``, ``bar1`` under
   ``bars``, pipeline registers under their stage);
 * **waveform capture** (:class:`WaveProbe`) -- samples probed nets
-  every clock and feeds a :class:`repro.obs.wave.VcdWriter`; on the
-  compiled backend the sampler is a generated straight-line capture
-  function (:func:`repro.netlist.compile.make_capture`), bit-exact
-  with the interpreted path;
+  every clock and feeds a :class:`repro.obs.wave.VcdWriter`;
 * **module attribution** (:func:`module_map`) -- a per-instance module
   label derived from net names, letting
   :func:`repro.netlist.power.attributed_power_report` split measured
@@ -24,10 +21,10 @@ box:
   correlates the fetched PC with per-cycle toggle deltas, producing
   energy-per-instruction and cycles-per-PC histograms.
 
-Probes attach to a :class:`~repro.netlist.sim.CycleSimulator` via
-``attach_probe``; with no probes attached the simulator's only cost is
-one empty-list truth test per tick (covered by the <2% overhead budget
-in ``benchmarks/bench_sim_backends.py``).
+Probes attach to the interpreted
+:class:`~repro.netlist.sim.CycleSimulator` (the only simulator that
+hosts them) via ``attach_probe``; with no probes attached the
+simulator's only cost is one empty-list truth test per tick.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import SimulationError
 from repro.netlist.core import CONST0, CONST1, Netlist, SEQUENTIAL_CELLS
@@ -253,9 +250,6 @@ class Probe:
     (including toggle accounting) has been applied.
     """
 
-    def bind(self, sim) -> None:
-        """Called by ``attach_probe``; override to specialize per backend."""
-
     def sample(self, cycle: int, values: list) -> None:
         """Settled pre-edge state of cycle ``cycle``."""
 
@@ -272,12 +266,6 @@ class WaveProbe(Probe):
         writer: Optional pre-configured
             :class:`~repro.obs.wave.VcdWriter`; one named after the
             design is created by default.
-
-    When bound to a compiled-backend simulator the per-cycle sampler
-    is straight-line generated code
-    (:func:`repro.netlist.compile.make_capture`); the interpreted
-    fallback reads the value table directly.  Both paths are bit-exact
-    (asserted in the test suite).
     """
 
     def __init__(
@@ -304,21 +292,10 @@ class WaveProbe(Probe):
             slices.append((start, sig.width))
             start += sig.width
         self._slices = slices
-        self._capture: Callable[[list], tuple] = self._interpreted_capture
         self.samples = 0
 
-    def _interpreted_capture(self, values: list) -> tuple:
-        return tuple(values[net] for net in self._flat)
-
-    def bind(self, sim) -> None:
-        """Use a generated capture function on the compiled backend."""
-        if getattr(sim, "backend", "interpreted") == "compiled":
-            from repro.netlist.compile import make_capture
-
-            self._capture = make_capture(self.netlist, self._flat)
-
     def sample(self, cycle: int, values: list) -> None:
-        bits = self._capture(values)
+        bits = [values[net] for net in self._flat]
         sampled: dict = {}
         for var, (start, width) in zip(self._vars, self._slices):
             value = 0

@@ -6,14 +6,12 @@ It exists to *verify* generated cores: the TP-ISA core netlists are run
 instruction-by-instruction against external memory models and their
 architectural state compared with the instruction-set simulator.
 
-Two backends share identical semantics (see ``docs/MODELS.md``):
-
-* ``"interpreted"`` (default) walks the levelized instance list,
-  calling each cell's truth function -- simple and easy to instrument;
-* ``"compiled"`` executes straight-line Python generated from the
-  netlist by :mod:`repro.netlist.compile`, removing the per-gate
-  dispatch overhead (about 6-7x faster per co-simulated cycle, where
-  the interpreter settles only the address cone in the middle step).
+This levelized interpreter is the reference simulator (see
+``docs/MODELS.md``): it walks the instance list calling each cell's
+truth function, which is simple and easy to instrument.  Runs that
+need speed but no toggle counts take the compiled kernel of
+:mod:`repro.netlist.compile` at one bigint lane instead
+(:class:`~repro.netlist.compile.BitParallelSimulator`).
 
 External memories (the paper's crosspoint ROM and SRAM) are modelled
 outside the netlist by the clock schedule of
@@ -24,7 +22,7 @@ in full and tick.  The schedule refuses, once per netlist, a core
 whose address logic reads the read data it selects.
 
 Per-instance output toggle counts are recorded for measured-activity
-power analysis; both backends account toggles identically.  Probes
+power analysis -- only this simulator keeps them.  Probes
 (:mod:`repro.netlist.probe`) attach via :meth:`CycleSimulator.
 attach_probe` for waveform capture and per-instruction energy
 profiling; with none attached the hook costs one branch per tick.
@@ -41,12 +39,8 @@ from repro.obs.metrics import counter as _obs_counter
 from repro.obs.metrics import histogram as _obs_histogram
 from repro.obs.runtime import STATE as _OBS
 
-#: Supported simulation backends.
-BACKENDS = ("interpreted", "compiled")
-
-# Scalar-simulation telemetry; bound once so the per-tick cost while
-# disabled is one attribute load and a branch (<2% budget, asserted by
-# benchmarks/bench_sim_backends.py).
+# Interpreter telemetry; bound once so the per-tick cost while disabled
+# is one attribute load and a branch.
 _CYCLES = _obs_counter("sim.cycles_simulated")
 _TOGGLE_READOUTS = _obs_histogram("sim.toggles_per_readout")
 
@@ -57,17 +51,12 @@ class CycleSimulator:
     Args:
         netlist: A validated, technology-mapped netlist.  Latches are
             not supported (the generated cores are edge-triggered only).
-        backend: ``"interpreted"`` (default) or ``"compiled"``; both
-            are bit-exact including toggle accounting.
     """
 
-    def __init__(self, netlist: Netlist, backend: str = "interpreted") -> None:
-        if backend not in BACKENDS:
-            raise SimulationError(f"unknown simulation backend {backend!r}")
+    def __init__(self, netlist: Netlist) -> None:
         cells = netlist.cells  # freezes (and validates) on first use
         cells.refuse_latches()
         self.netlist = netlist
-        self.backend = backend
         self._order = topological_order(netlist)
         # Positional instance indices (toggle counters are reported per
         # index into ``netlist.instances``).
@@ -82,11 +71,6 @@ class CycleSimulator:
         self._prev_comb: list[int] = [-1] * len(netlist.instances)
         self._probes: list = []
         self.cycles = 0
-        self._compiled = None
-        if backend == "compiled":
-            from repro.netlist.compile import compiled_netlist
-
-            self._compiled = compiled_netlist(netlist)
 
     # -- I/O -------------------------------------------------------------
 
@@ -122,23 +106,16 @@ class CycleSimulator:
 
     def settle(self) -> None:
         """Propagate current inputs/state through combinational logic."""
-        if self._compiled is not None:
-            self._compiled.settle(self._values, 1)
-        else:
-            self._evaluate(self._order)
+        self._evaluate(self._order)
 
     def settle_cone(self, cone: Sequence[Instance]) -> None:
         """Settle only ``cone``, cells in topological order.
 
         The clock schedule's address step (see
         :class:`repro.netlist.lanes.ClockSchedule`): the cone's inputs
-        outside it must already hold their values.  The compiled
-        backend has no per-cone code and settles in full.
+        outside it must already hold their values.
         """
-        if self._compiled is not None:
-            self.settle()
-        else:
-            self._evaluate(cone)
+        self._evaluate(cone)
 
     def _evaluate(self, cells: Sequence[Instance]) -> None:
         values = self._values
@@ -164,13 +141,6 @@ class CycleSimulator:
         if probes:
             for probe in probes:
                 probe.sample(self.cycles, values)
-        if self._compiled is not None:
-            self._compiled.tick(values, self._prev_comb, toggles, resetting)
-            self.cycles += 1
-            if probes:
-                for probe in probes:
-                    probe.after_tick(self.cycles - 1, values, toggles)
-            return
         previous = self._prev_comb
         for instance, index in zip(self._order, self._comb_pos):
             value = values[instance.output]
@@ -210,12 +180,9 @@ class CycleSimulator:
         The probe's ``sample`` hook fires at the start of every
         :meth:`tick` (settled pre-edge state) and ``after_tick`` once
         the edge -- including toggle accounting -- has been applied.
-        ``probe.bind(self)`` is called so the probe can specialize for
-        the backend (the compiled backend gets generated capture
-        code).  With no probes attached the per-tick cost is one
-        empty-list truth test.
+        With no probes attached the per-tick cost is one empty-list
+        truth test.
         """
-        probe.bind(self)
         self._probes.append(probe)
 
     def detach_probe(self, probe) -> None:

@@ -58,8 +58,7 @@ from repro.netlist.load import (
     DEFAULT_FANOUT_SLOPE,
     RCAnnotation,
     cell_kinds,
-    fanout_counts,
-    net_derate,
+    output_wires,
 )
 from repro.netlist.nsim import _GROUP, numpy_netlist
 from repro.obs.metrics import counter as _obs_counter
@@ -190,34 +189,24 @@ def cell_delays(
 ) -> np.ndarray:
     """Load-derated ``(rise, fall)`` delay per instance, ``(cells, 2)``.
 
-    Wire-blind, each cell kind is looked up once and derated per
-    instance through the netlist's :func:`~repro.netlist.load.cell_kinds`.
+    Each cell kind is looked up once and derated per instance through
+    the netlist's :func:`~repro.netlist.load.cell_kinds`: the loads are
+    its fanout plus the output wire's capacitance in gate-input
+    equivalents (:func:`~repro.netlist.load.net_derate`), and the wire
+    delay adds to both edges.  ``rc=None`` has no wire.
     """
-    if rc is None:
-        kinds = cell_kinds(netlist)
-        cells = [library.cell(name) for name in kinds.names]
-        table = np.array(
-            [(cell.rise_delay, cell.fall_delay) for cell in cells],
-            dtype=np.float64,
-        ).reshape(-1, 2)
-        derate = 1.0 + fanout_slope * kinds.loads
-        return table[kinds.kind] * derate[:, None]
-    fanouts = fanout_counts(netlist)
-    input_cap = library.input_capacitance
-    delays = []
-    for instance in netlist.instances:
-        cell = library.cell(instance.cell)
-        derate = net_derate(
-            int(fanouts[instance.output]),
-            rc.capacitance(instance.output),
-            input_cap,
-            fanout_slope,
-        )
-        wire = rc.wire_delay(instance.output)
-        delays.append(
-            (cell.rise_delay * derate + wire, cell.fall_delay * derate + wire)
-        )
-    return np.array(delays, dtype=np.float64).reshape(-1, 2)
+    kinds = cell_kinds(netlist)
+    cells = [library.cell(name) for name in kinds.names]
+    table = np.array(
+        [(cell.rise_delay, cell.fall_delay) for cell in cells],
+        dtype=np.float64,
+    ).reshape(-1, 2)
+    capacitance, wire_delay = output_wires(netlist, rc)
+    loads = kinds.loads
+    if library.input_capacitance > 0.0:
+        loads = loads + capacitance / library.input_capacitance
+    derate = 1.0 + fanout_slope * loads
+    return table[kinds.kind] * derate[:, None] + wire_delay[:, None]
 
 
 def propagate(

@@ -19,8 +19,7 @@ Conventions:
 * **deterministic output**: identifier codes are assigned in
   declaration order and no wall-clock data is embedded unless a
   ``date`` string is supplied, so two runs of the same simulation
-  produce byte-identical dumps (asserted by the backend-equivalence
-  tests).
+  produce byte-identical dumps (asserted by the writer tests).
 
 Usage::
 

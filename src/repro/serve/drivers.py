@@ -187,7 +187,6 @@ def _run_profile(params: dict) -> dict:
         config_from_name(params["config"]),
         program_name=params["program"],
         technology=params["technology"],
-        backend=params["backend"],
         max_cycles=params["max_cycles"],
     )
 
@@ -242,7 +241,7 @@ register_driver(
 register_driver(
     "profile",
     (CONFIG, *_options(
-        PROFILE_OPTIONS, "program", "technology", "backend", "max_cycles",
+        PROFILE_OPTIONS, "program", "technology", "max_cycles",
     )),
     _run_profile,
 )

@@ -172,9 +172,19 @@ class RequestHandler(BaseHTTPRequestHandler):
             pass  # client went away mid-response
 
     def _submit(self) -> None:
+        # Every refusal before the body is read leaves it unread, so the
+        # connection cannot carry another request.
         route = urlparse(self.path).path.rstrip("/")
         if route != "/jobs":
+            self.close_connection = True
             self._error(404, f"no such endpoint: {route}")
+            return
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            self._error(
+                411, "POST /jobs needs a Content-Length header, not "
+                "Transfer-Encoding",
+            )
             return
         header = self.headers.get("Content-Length", "0")
         try:
@@ -182,8 +192,6 @@ class RequestHandler(BaseHTTPRequestHandler):
         except ValueError:  # a non-ASCII digit, or too many digits
             length = -1
         if length < 0:
-            # Where the body ends is unknown, so the connection cannot
-            # carry another request.
             self.close_connection = True
             self._error(
                 400,
@@ -192,6 +200,7 @@ class RequestHandler(BaseHTTPRequestHandler):
             )
             return
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             self._error(413, "request body too large")
             return
         raw = self.rfile.read(length) if length else b"{}"

@@ -3,8 +3,8 @@
 The verification subsystem closes the loop the unit tests cannot: it
 generates arbitrary (well-formed, halting) TP-ISA programs, runs each
 one through *every* execution model in the repository -- ISS,
-interpreted and compiled gate-level simulation, bit-parallel lanes,
-and the program-specific shrunken core -- and flags any architectural
+interpreted gate-level simulation, bigint and numpy lanes, and the
+program-specific shrunken core -- and flags any architectural
 disagreement.  Failures shrink to minimal pytest-ready repros; a
 static lint pass independently checks every generated netlist for
 structural defects (combinational loops, multi-driven or floating
@@ -25,7 +25,6 @@ from repro.verify.corpus import (
 from repro.verify.differential import (
     DEFAULT_EXECUTORS,
     Divergence,
-    bitparallel_verify,
     differential_check,
     fault_site_for_output,
     lane_verify,
@@ -50,7 +49,6 @@ __all__ = [
     "LintFinding",
     "LintReport",
     "ShrinkResult",
-    "bitparallel_verify",
     "differential_check",
     "emit_pytest_case",
     "fault_site_for_output",

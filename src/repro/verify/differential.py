@@ -6,10 +6,9 @@ configuration grid:
 
 * the instruction-set simulator (:mod:`repro.sim.machine`) -- the
   architectural reference;
-* the interpreted gate-level simulator (``backend="interpreted"``);
-* the compiled gate-level simulator (``backend="compiled"``);
-* :class:`~repro.netlist.compile.BitParallelSimulator` lanes (many
-  programs through one netlist at once);
+* the interpreted gate-level simulator (the reference);
+* :class:`~repro.netlist.compile.BitParallelSimulator` lanes (the
+  compiled kernel; many programs through one netlist at once);
 * :class:`~repro.netlist.nsim.NumpySimulator` lanes (the vectorized
   uint64 bit-slice backend, same lane packing, different kernel
   machinery);
@@ -45,7 +44,7 @@ from repro.obs.trace import span as _obs_span
 from repro.sim.machine import Machine
 
 #: Executors the differential stack runs, in order.
-DEFAULT_EXECUTORS = ("interpreted", "compiled", "bitparallel", "numpy", "ps-isa")
+DEFAULT_EXECUTORS = ("interpreted", "bitparallel", "numpy", "ps-isa")
 
 #: Cycle safety valve for fuzz-sized programs.
 DEFAULT_MAX_CYCLES = 100_000
@@ -297,19 +296,6 @@ def lane_verify(
     return reports
 
 
-def bitparallel_verify(
-    programs: list[Program],
-    config: CoreConfig,
-    fault=None,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-) -> list[list[str]]:
-    """:func:`lane_verify` on the bigint backend (back-compat name)."""
-    return lane_verify(
-        programs, config, fault=fault, max_cycles=max_cycles,
-        simulator=BitParallelSimulator,
-    )
-
-
 def differential_check(
     program: Program,
     config: CoreConfig,
@@ -349,17 +335,15 @@ def differential_check(
 
     with _obs_span("verify.check", program=program.name, design=config.name):
         _CHECKED.inc()
-        for backend in ("interpreted", "compiled"):
-            if backend not in executors:
-                continue
+        if "interpreted" in executors:
             try:
                 mismatches = cosim_verify(
                     program, config, max_cycles=max_cycles,
-                    backend=backend, fault=fault,
+                    backend="interpreted", fault=fault,
                 )
             except Exception as error:  # wedged = detected
                 mismatches = [f"executor crashed: {error}"]
-            record(backend, config.name, mismatches)
+            record("interpreted", config.name, mismatches)
 
         for executor, simulator in (
             ("bitparallel", BitParallelSimulator),

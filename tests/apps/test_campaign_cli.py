@@ -44,7 +44,7 @@ class TestCampaignCli:
         assert campaign_main(["--stride"]) == 2
 
     def test_verify_suite_needs_lane_backend(self, capsys):
-        assert campaign_main(["--verify-suite", "--backend", "compiled"]) == 2
+        assert campaign_main(["--verify-suite", "--backend", "interpreted"]) == 2
         assert "lane backend" in capsys.readouterr().err
 
     def test_help(self, capsys):

@@ -29,6 +29,7 @@ class TestProfileDesign:
     def test_profile_shape(self, crc8_profile):
         profile, _ = crc8_profile
         assert profile["schema"] == PROFILE_SCHEMA
+        assert profile["backend"] == "interpreted"
         assert profile["design"] == "p1_8_2"
         assert profile["program"].startswith("crc8")
         assert profile["cycles"] > 0
@@ -83,30 +84,16 @@ class TestProfileDesign:
         assert "Hottest instructions" in text
         assert profile["design"] in text
 
-    def test_backends_agree_on_the_histograms(self):
-        config = CoreConfig(datawidth=4)
-        kw = dict(program_name="mult", top=3)
-        compiled = profile_design(config, backend="compiled", **kw)
-        interpreted = profile_design(config, backend="interpreted", **kw)
-        for key in ("cycles", "by_module", "by_cell", "instructions",
-                    "energy_per_cycle", "total_energy"):
-            assert compiled[key] == interpreted[key]
-
     def test_pipelined_core_runs_to_quiescence(self):
-        """p3_8_2 halts through the multi-stage quiescence loop; both
-        backends agree and the attribution still conserves energy."""
+        """p3_8_2 halts through the multi-stage quiescence loop and the
+        attribution still conserves energy."""
         config = CoreConfig(datawidth=8, pipeline_stages=3)
-        kw = dict(program_name="mult", top=3)
-        compiled = profile_design(config, backend="compiled", **kw)
-        interpreted = profile_design(config, backend="interpreted", **kw)
-        assert compiled["design"] == "p3_8_2"
-        assert compiled["cycles"] == 95
-        for key in ("cycles", "by_module", "by_cell", "instructions",
-                    "energy_per_cycle", "total_energy"):
-            assert compiled[key] == interpreted[key]
-        total = compiled["energy_per_cycle"]
-        assert sum(compiled["by_module"].values()) == total
-        assert sum(compiled["by_cell"].values()) == total
+        profile = profile_design(config, program_name="mult", top=3)
+        assert profile["design"] == "p3_8_2"
+        assert profile["cycles"] == 95
+        total = profile["energy_per_cycle"]
+        assert sum(profile["by_module"].values()) == total
+        assert sum(profile["by_cell"].values()) == total
 
     def test_trace_window_bounds_memory_not_energy(self):
         bounded = profile_design(

@@ -215,9 +215,11 @@ class TestPipelineDeterminism:
 
     def test_fault_campaign_scalar_backend(self, cache_dir):
         program = build_benchmark("mult", 8, 4)
-        serial = run_fault_campaign(program, max_faults=12, backend="compiled")
+        serial = run_fault_campaign(
+            program, max_faults=12, backend="interpreted"
+        )
         parallel = run_fault_campaign(
-            program, max_faults=12, backend="compiled", jobs=2
+            program, max_faults=12, backend="interpreted", jobs=2
         )
         assert serial == parallel
 

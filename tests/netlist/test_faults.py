@@ -4,7 +4,7 @@ import pytest
 
 from repro.coregen.config import CoreConfig
 from repro.coregen.fault_test import run_fault_campaign
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.isa.assembler import assemble
 from repro.netlist.core import Netlist
 from repro.netlist.faults import (
@@ -115,3 +115,14 @@ class TestCampaign:
         simple_cov = run_fault_campaign(simple, config, stride=20).coverage
         busy_cov = run_fault_campaign(busy, config, stride=20).coverage
         assert busy_cov > simple_cov
+
+    @pytest.mark.parametrize("backend", ["jit", "compiled"])
+    def test_unknown_backend_rejected(self, backend):
+        """A backend name outside the three campaign backends is an
+        error naming it and the choices, not a silent scalar run."""
+        program = assemble(".word x 1\nSTORE x, 2\nHALT\n", name="simple")
+        with pytest.raises(ConfigError) as raised:
+            run_fault_campaign(program, stride=64, backend=backend)
+        message = str(raised.value)
+        assert repr(backend) in message
+        assert "batched, numpy, interpreted" in message

@@ -12,6 +12,7 @@ PPA change and must fail loudly.
 """
 
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -128,10 +129,23 @@ class TestLoadModel:
         assert rc.total_wirelength == pytest.approx(0.03)
         assert rc.total_capacitance == pytest.approx(6e-9)
 
-    def test_sta_and_power_share_fanout_counts(self):
-        from repro.netlist import sta
-
-        assert sta.fanout_counts is fanout_counts
+    def test_empty_annotation_equals_wire_blind(self):
+        """An annotation with no routed nets is the wire-blind flow."""
+        empty = RCAnnotation(source="empty", nets={})
+        for technology in ("EGFET", "CNT"):
+            library = technology_library(technology)
+            for config in standard_sweep():
+                netlist = generate_core(config)
+                assert np.array_equal(
+                    cell_delays(netlist, library, rc=empty),
+                    cell_delays(netlist, library),
+                )
+                assert timing_report(netlist, library, rc=empty) == (
+                    timing_report(netlist, library)
+                )
+                assert power_report(netlist, library, rc=empty) == (
+                    power_report(netlist, library)
+                )
 
 
 @pytest.mark.parametrize("technology", ("EGFET", "CNT"))
@@ -185,6 +199,57 @@ def test_wire_blind_analyses_equal_the_per_instance_formulas(technology):
             energy[False], energy[True]
         )
         assert power.energy_per_cycle == energy[False] + energy[True]
+
+
+def synthetic_annotation(netlist, seed) -> RCAnnotation:
+    """Random parasitics on about 70% of the nets."""
+    rng = random.Random(seed)
+    return RCAnnotation(source="synthetic", nets={
+        net: WireRC(rng.uniform(1.0, 1e4), rng.uniform(1e-12, 1e-7), 0.01)
+        for net in range(netlist.net_count)
+        if rng.random() < 0.7
+    })
+
+
+@pytest.mark.parametrize("technology", ("EGFET", "CNT"))
+def test_wire_aware_analyses_equal_the_per_instance_formulas(technology):
+    """With wire parasitics, delays and energies still equal, with
+    ``==``, :func:`net_derate` and :meth:`WireRC.switch_energy`
+    applied instance by instance and summed in order."""
+    library = technology_library(technology)
+    for config in standard_sweep():
+        netlist = generate_core(config)
+        rc = synthetic_annotation(netlist, f"{config.name}@{technology}")
+        fanouts = fanout_counts(netlist)
+        delays = []
+        energy = {False: 0.0, True: 0.0}
+        wire_total = 0.0
+        for instance in netlist.instances:
+            cell = library.cell(instance.cell)
+            wire = rc.wire(instance.output)
+            derate = net_derate(
+                int(fanouts[instance.output]),
+                wire.capacitance if wire else 0.0,
+                library.input_capacitance,
+            )
+            delay = wire.delay if wire else 0.0
+            delays.append(
+                (cell.rise_delay * derate + delay,
+                 cell.fall_delay * derate + delay)
+            )
+            switched = wire.switch_energy(library.vdd) if wire else 0.0
+            stateful = instance.cell in SEQUENTIAL_CELLS
+            energy[stateful] += (cell.energy + switched) * PAPER_ACTIVITY_FACTOR
+            wire_total += switched * PAPER_ACTIVITY_FACTOR
+        assert np.array_equal(
+            cell_delays(netlist, library, rc=rc), np.array(delays)
+        )
+        power = power_report(netlist, library, rc=rc)
+        assert (power.combinational_energy, power.sequential_energy) == (
+            energy[False], energy[True]
+        )
+        assert power.energy_per_cycle == energy[False] + energy[True]
+        assert power.wire_energy == wire_total
 
 
 def test_cell_kinds_memoized_and_dropped_on_pickle():

@@ -8,7 +8,6 @@ from repro.coregen.config import CoreConfig
 from repro.coregen.cosim import CoSimHarness
 from repro.coregen.generator import generate_core
 from repro.errors import SimulationError
-from repro.netlist.compile import make_capture
 from repro.netlist.core import SEQUENTIAL_CELLS
 from repro.netlist.probe import (
     ARCH_GROUPS,
@@ -107,45 +106,7 @@ class TestModuleMap:
         assert len(modules) > 3  # pc, flags, write port, ...
 
 
-class TestMakeCapture:
-    def test_reads_selected_nets(self, core):
-        sim = CycleSimulator(core, backend="compiled")
-        sim.reset()
-        sim.settle()
-        nets = named_buses(core)["pc"]
-        capture = make_capture(core, nets)
-        assert capture(sim._values) == tuple(sim._values[n] for n in nets)
-
-    def test_empty_selection(self, core):
-        assert make_capture(core, ())([1, 2, 3]) == ()
-
-    def test_unknown_net_rejected(self, core):
-        with pytest.raises(SimulationError, match="unknown net"):
-            make_capture(core, (core.net_count,))
-
-
-def _run_probed(backend: str, cycles: int = 80):
-    program = build_benchmark("mult", 8, 8)
-    harness = CoSimHarness(program, CoreConfig(datawidth=8), backend=backend)
-    signals = resolve_probes(harness.netlist, groups=ARCH_GROUPS)
-    probe = WaveProbe(harness.netlist, signals)
-    harness.sim.attach_probe(probe)
-    for _ in range(cycles):
-        harness.step()
-    return probe
-
-
 class TestWaveProbe:
-    def test_backends_produce_identical_dumps(self):
-        interpreted = _run_probed("interpreted")
-        compiled = _run_probed("compiled")
-        assert interpreted.render() == compiled.render()
-        assert compiled.samples == interpreted.samples
-
-    def test_compiled_probe_uses_generated_capture(self):
-        probe = _run_probed("compiled", cycles=2)
-        assert probe._capture.__name__ == "capture"
-
     def test_needs_signals(self, core):
         with pytest.raises(SimulationError, match="at least one signal"):
             WaveProbe(core, [])

@@ -156,7 +156,7 @@ class TestCli:
         out = tmp_path / "RUN_REPORT.json"
         assert main(["--report-out", str(out), "stats"]) == 0
         text = capsys.readouterr().out
-        assert "sim.cycles_simulated" in text
+        assert "sim.lane_cycles_simulated" in text
         assert "compile.cache_hits" in text
 
     def test_unknown_flag_rejected(self, obs_disabled, capsys):

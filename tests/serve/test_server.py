@@ -169,6 +169,48 @@ class TestJobsEndpoint:
         assert response.getheader("Connection") == "close"
         assert get_json(f"{server}/healthz")[0] == 200
 
+    def _refused_then_ready(self, server, path, body, **kwargs):
+        """POST ``body`` to ``path`` on a keep-alive connection, then GET
+        /readyz through the same client: a refusal must say
+        ``Connection: close`` so the client reconnects instead of
+        sending its next request after the unread body's bytes."""
+        host, port = server[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            conn.request("POST", path, body=body, **kwargs)
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            conn.request("GET", "/readyz")
+            ready = conn.getresponse()
+            ready.read()
+        finally:
+            conn.close()
+        assert response.getheader("Connection") == "close"
+        assert ready.status == 200
+        return response.status, body
+
+    def test_chunked_body_411_closes(self, server):
+        status, body = self._refused_then_ready(
+            server, "/jobs", iter([b'{"kind": "nonsense"}']),
+            encode_chunked=True,
+        )
+        assert status == 411
+        assert "Content-Length" in body["error"]
+
+    def test_oversized_body_413_closes(self, server):
+        status, body = self._refused_then_ready(
+            server, "/jobs", b" " * (70 * 1024)
+        )
+        assert status == 413
+        assert "too large" in body["error"]
+
+    def test_post_to_unknown_route_404_closes(self, server):
+        status, body = self._refused_then_ready(
+            server, "/nope", b'{"kind": "echo"}'
+        )
+        assert status == 404
+        assert "/nope" in body["error"]
+
     def test_post_to_a_departed_client_is_quiet(self, server, monkeypatch,
                                                  capsys):
         def departed(self, status, body, content_type):

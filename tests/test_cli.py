@@ -47,8 +47,9 @@ SPECS = {
     "serve": SERVE_OPTIONS,
 }
 
-#: The long flags each command accepts (75; serve's ``--heartbeat`` and
-#: ``--tick`` went with the live event stream).
+#: The long flags each command accepts (74; serve's ``--heartbeat`` and
+#: ``--tick`` went with the live event stream, profile-design's
+#: ``--backend`` with the compiled scalar simulator).
 FLAGS = {
     "": {"--profile", "--jobs", "--trace-out", "--report-out"},
     "verify": {
@@ -70,7 +71,7 @@ FLAGS = {
         "--report",
     },
     "profile-design": {
-        "--program", "--technology", "--backend", "--vcd", "--energy-report",
+        "--program", "--technology", "--vcd", "--energy-report",
         "--top", "--jobs", "--max-cycles", "--trace-maxlen", "--probe",
         "--probe-regex", "--profile", "--report-out",
     },
@@ -110,7 +111,7 @@ DEFAULTS = [
                            "seed": 0, "sweeps": 10, "jobs": None, "out": ".",
                            "report": None}),
     (["profile-design"], {"configs": ["p1_8_2"], "program": "crc8",
-                          "technology": "EGFET", "backend": "compiled",
+                          "technology": "EGFET",
                           "vcd": None, "energy_report": None, "top": 10,
                           "jobs": None, "max_cycles": 200_000,
                           "trace_maxlen": None, "probe": None,
@@ -148,7 +149,7 @@ def _run(argv, capsys):
 class TestSameOptions:
     def test_flag_sets_unchanged(self):
         assert {c: _long_flags(s) for c, s in SPECS.items()} == FLAGS
-        assert sum(map(len, FLAGS.values())) == 75
+        assert sum(map(len, FLAGS.values())) == 74
 
     @pytest.mark.parametrize(
         "argv, defaults", DEFAULTS, ids=[" ".join(a) for a, _ in DEFAULTS]
@@ -238,7 +239,8 @@ BAD_INPUT = [
     (["serve", "--port", "65536"], "--port"),
     # Unknown choices and config names.
     (["campaign", "--backend", "jit"], "--backend"),
-    (["campaign", "--verify-suite", "--backend", "compiled"], "--verify-suite"),
+    (["campaign", "--verify-suite", "--backend", "compiled"], "--backend"),
+    (["campaign", "--verify-suite", "--backend", "interpreted"], "--verify-suite"),
     (["place", "p1_8_2", "--technology", "FOO"], "--technology"),
     (["profile-design", "--technology", "egfet"], "--technology"),
     (["verify", "--executors", "numpy,ps_isa"], "--executors"),

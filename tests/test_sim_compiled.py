@@ -1,14 +1,14 @@
-"""Equivalence suite: compiled simulation backends vs the interpreter.
+"""Equivalence suite: lane simulators vs the interpreter.
 
-The compiled backend, its bit-parallel lane mode, and the vectorized
-numpy bit-slice backend must be bit-exact with the reference
-interpreter -- same output values, same flop state -- on every
-configuration of the paper's Figure 7 sweep, under randomized
+The compiled kernel's bigint lanes (at one lane and at many) and the
+vectorized numpy bit-slice backend must be bit-exact with the
+reference interpreter -- same output values, same flop state -- on
+every configuration of the paper's Figure 7 sweep, under randomized
 stimulus, and must run a memory loop through a flop on the memory
 clock schedule alike (the schedule itself is tested in
 ``tests/netlist/test_clock_schedule.py``).  Fault injection and fault
-campaigns must agree across all four backends as well, fault for
-fault.
+campaigns must agree across all three campaign backends as well, fault
+for fault.
 """
 
 import random
@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.coregen.config import CoreConfig, standard_sweep
-from repro.coregen.cosim import cosim_verify
+from repro.coregen.cosim import CoSimHarness, cosim_verify
 from repro.coregen.fault_test import run_fault_campaign
 from repro.coregen.generator import generate_core
 from repro.errors import SimulationError, UnsupportedInLaneMode
@@ -58,16 +58,29 @@ def drive_lockstep(netlist, sims, cycles, seed):
             sim.tick()
 
 
+class OneLane:
+    """One bigint lane read as scalar ints, for :func:`drive_lockstep`."""
+
+    def __init__(self, netlist, fault=None):
+        self.sim = BitParallelSimulator(netlist, faults=[fault])
+        self.set_input = self.sim.set_input
+        self.settle = self.sim.settle
+        self.tick = self.sim.tick
+
+    def read_output(self, name):
+        return self.sim.read_output(name)[0]
+
+
 @pytest.mark.parametrize("config", standard_sweep(), ids=lambda c: c.name)
 def test_compiled_matches_interpreter_on_sweep(config):
-    """Values, flop state, and toggle counts agree on all 24 cores."""
+    """One compiled bigint lane agrees with the interpreter on all 24
+    cores: every net value (flop state included) and the cycle count."""
     netlist = generate_core(config)
-    interpreted = CycleSimulator(netlist, backend="interpreted")
-    compiled = CycleSimulator(netlist, backend="compiled")
+    interpreted = CycleSimulator(netlist)
+    compiled = OneLane(netlist)
     drive_lockstep(netlist, [interpreted, compiled], cycles=20, seed=config.name)
-    assert interpreted._values == compiled._values
-    assert interpreted.toggle_counts() == compiled.toggle_counts()
-    assert interpreted.cycles == compiled.cycles
+    assert interpreted._values == compiled.sim._values
+    assert interpreted.cycles == compiled.sim.cycles
 
 
 @pytest.mark.parametrize(
@@ -76,12 +89,12 @@ def test_compiled_matches_interpreter_on_sweep(config):
     ids=lambda c: c.name,
 )
 def test_bit_parallel_matches_scalar_lanes(config):
-    """Each bigint lane behaves exactly like one scalar compiled sim,
+    """Each bigint lane behaves exactly like one interpreted sim,
     including per-lane asynchronous reset."""
     netlist = generate_core(config)
     lanes = 9
     parallel = BitParallelSimulator(netlist, lanes)
-    scalars = [CycleSimulator(netlist, backend="compiled") for _ in range(lanes)]
+    scalars = [CycleSimulator(netlist) for _ in range(lanes)]
     rng = random.Random(3)
     for cycle in range(25):
         for name, bus in netlist.inputs.items():
@@ -110,7 +123,7 @@ def test_numpy_matches_interpreter_on_sweep(config):
     all 24 cores, with every lane of the bit-slice matrix carrying the
     same stimulus as the scalar reference."""
     netlist = generate_core(config)
-    reference = CycleSimulator(netlist, backend="interpreted")
+    reference = CycleSimulator(netlist)
     lanes = 3
     vector = NumpySimulator(netlist, lanes)
     rng = random.Random(config.name)
@@ -169,27 +182,25 @@ def test_numpy_lanes_match_bigint_lanes_across_word_boundary():
 
 
 def test_faulty_compiled_matches_interpreter():
-    """Forced-settle fault injection is bit-exact, toggles included."""
+    """Forced-settle fault injection on one compiled lane is bit-exact
+    with the interpreted FaultySimulator, every net value included."""
     netlist = generate_core(CoreConfig(datawidth=8))
     for fault in enumerate_fault_sites(netlist, stride=131):
-        interpreted = FaultySimulator(netlist, fault, backend="interpreted")
-        compiled = FaultySimulator(netlist, fault, backend="compiled")
+        interpreted = FaultySimulator(netlist, fault)
+        compiled = OneLane(netlist, fault)
         drive_lockstep(
             netlist, [interpreted, compiled], cycles=12, seed=fault.instance_index
         )
-        assert interpreted._values == compiled._values, fault
-        assert interpreted.toggle_counts() == compiled.toggle_counts(), fault
+        assert interpreted._values == compiled.sim._values, fault
 
 
 def test_bit_parallel_fault_lanes_match_scalar_faults():
-    """A lane with a stuck-at fault equals the scalar FaultySimulator."""
+    """A lane with a stuck-at fault equals the interpreted FaultySimulator."""
     netlist = generate_core(CoreConfig(datawidth=8))
     faults = enumerate_fault_sites(netlist, stride=211)
     lanes = len(faults)
     parallel = BitParallelSimulator(netlist, lanes, faults=faults)
-    scalars = [
-        FaultySimulator(netlist, fault, backend="compiled") for fault in faults
-    ]
+    scalars = [FaultySimulator(netlist, fault) for fault in faults]
     rng = random.Random(17)
     for cycle in range(15):
         stimulus = random_stimulus(netlist, rng, cycle)
@@ -210,15 +221,13 @@ def test_bit_parallel_fault_lanes_match_scalar_faults():
 
 
 def test_numpy_fault_lanes_match_scalar_faults():
-    """A numpy lane with a stuck-at fault equals the scalar
+    """A numpy lane with a stuck-at fault equals the interpreted
     FaultySimulator, fault for fault."""
     netlist = generate_core(CoreConfig(datawidth=8))
     faults = enumerate_fault_sites(netlist, stride=211)
     lanes = len(faults)
     vector = NumpySimulator(netlist, lanes, faults=faults)
-    scalars = [
-        FaultySimulator(netlist, fault, backend="compiled") for fault in faults
-    ]
+    scalars = [FaultySimulator(netlist, fault) for fault in faults]
     rng = random.Random(17)
     for cycle in range(15):
         stimulus = random_stimulus(netlist, rng, cycle)
@@ -255,9 +264,7 @@ class TestLaneModeGuards:
 
 
 class TestFixedPointBehaviour:
-    @pytest.mark.parametrize(
-        "backend", ["interpreted", "compiled", "bigint", "numpy"]
-    )
+    @pytest.mark.parametrize("backend", ["interpreted", "bigint", "numpy"])
     def test_step_with_memory_converges(self, backend):
         """The register behind ``addr_a`` loads the word it addresses:
         a loop through a flop, which the clock schedule accepts."""
@@ -269,7 +276,7 @@ class TestFixedPointBehaviour:
             def read(name):
                 return sim.read_output(name)[0]
         else:
-            sim = CycleSimulator(netlist, backend=backend)
+            sim = CycleSimulator(netlist)
             read = sim.read_output
         memory = [(3 * i) % 16 for i in range(16)]
         memory[0] = 5
@@ -289,7 +296,7 @@ class TestCampaignEquivalence:
         )
         campaigns = {
             backend: run_fault_campaign(program, stride=31, backend=backend)
-            for backend in ("interpreted", "compiled", "batched", "numpy")
+            for backend in ("interpreted", "batched", "numpy")
         }
         reference = campaigns["interpreted"]
         for backend, campaign in campaigns.items():
@@ -307,13 +314,13 @@ class TestCampaignEquivalence:
 
     def test_numpy_packed_campaign_equals_scalar_runs(self):
         """An N-fault packed numpy campaign detects exactly the same
-        faults as N independent scalar compiled runs -- the lane
-        packing property, checked fault for fault (lanes=5 forces
-        several partial batches)."""
+        faults as N independent interpreted runs -- the lane packing
+        property, checked fault for fault (lanes=5 forces several
+        partial batches)."""
         program = assemble(
             ".word x 3\n.word y 5\nADD x, y\nSTORE y, 1\nHALT\n", name="tiny"
         )
-        scalar = run_fault_campaign(program, stride=13, backend="compiled")
+        scalar = run_fault_campaign(program, stride=13, backend="interpreted")
         packed = run_fault_campaign(program, stride=13, backend="numpy", lanes=5)
         assert packed.total == scalar.total
         assert packed.detected == scalar.detected
@@ -321,8 +328,9 @@ class TestCampaignEquivalence:
 
 
 class TestCompiledCosim:
-    # One kernel per core datawidth, verified gate-level with the
-    # compiled backend (4-bit cores run coalesced 8-bit kernels).
+    # One kernel per core datawidth, verified gate-level on the
+    # compiled kernel at one bigint lane (4-bit cores run coalesced
+    # 8-bit kernels).
     MATRIX = [("mult", 8, 4), ("mult", 8, 8), ("intAvg", 16, 16), ("mult", 32, 32)]
 
     @pytest.mark.parametrize("name,kernel_width,core_width", MATRIX)
@@ -364,6 +372,6 @@ class TestCaching:
         sim.settle()
 
     def test_unknown_backend_rejected(self):
-        netlist = generate_core(CoreConfig(datawidth=8))
-        with pytest.raises(SimulationError, match="backend"):
-            CycleSimulator(netlist, backend="jit")
+        program = assemble(".word x 1\nSTORE x, 2\nHALT\n", name="simple")
+        with pytest.raises(SimulationError, match="backend 'jit'"):
+            CoSimHarness(program, backend="jit")

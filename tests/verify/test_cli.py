@@ -20,14 +20,14 @@ class TestCampaign:
     def test_smoke_corpus_agrees(self):
         result = run_campaign(
             range(4), configs=(SMOKE_CONFIG,),
-            executors=("compiled", "bitparallel"),
+            executors=("bitparallel",),
         )
         assert result.ok, result.summary()
         assert len(result.cases) == 4
 
     def test_parallel_matches_serial(self):
         kwargs = dict(
-            configs=(SMOKE_CONFIG,), executors=("compiled",),
+            configs=(SMOKE_CONFIG,), executors=("bitparallel",),
         )
         serial = run_campaign(range(6), jobs=1, **kwargs)
         parallel = run_campaign(range(6), jobs=2, **kwargs)
@@ -38,7 +38,7 @@ class TestCampaign:
 
         fault = fault_site_for_output(generate_core(SMOKE_CONFIG), "wdata", 0)
         result = run_campaign(
-            range(2), configs=(SMOKE_CONFIG,), executors=("compiled",),
+            range(2), configs=(SMOKE_CONFIG,), executors=("bitparallel",),
             fault=fault, out_dir=tmp_path,
         )
         assert not result.ok
@@ -52,7 +52,7 @@ class TestCli:
     def test_verify_subcommand(self, capsys):
         code = main([
             "verify", "--seed", "0", "--count", "2",
-            "--configs", "p1_8_2", "--executors", "compiled",
+            "--configs", "p1_8_2", "--executors", "bitparallel",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -71,7 +71,7 @@ class TestCli:
     def test_inject_fault_is_caught(self, capsys, tmp_path):
         code = main([
             "verify", "--count", "2", "--configs", "p1_8_2",
-            "--executors", "compiled", "--inject-fault", "wdata:0",
+            "--executors", "bitparallel", "--inject-fault", "wdata:0",
             "--shrink-dir", str(tmp_path),
         ])
         out = capsys.readouterr().out

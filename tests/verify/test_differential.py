@@ -9,9 +9,9 @@ from repro.errors import ConfigError
 from repro.isa.program import Program
 from repro.isa.spec import Instruction, MemOperand, Mnemonic
 from repro.verify.differential import (
-    bitparallel_verify,
     differential_check,
     fault_site_for_output,
+    lane_verify,
     ps_isa_variant,
     remap_bars,
 )
@@ -45,7 +45,7 @@ class TestAgreement:
     def test_bitparallel_batches_lanes(self):
         config = CoreConfig(datawidth=8, pipeline_stages=1, num_bars=2)
         programs = [random_program(seed, 8, 2) for seed in range(6)]
-        reports = bitparallel_verify(programs, config)
+        reports = lane_verify(programs, config)
         assert len(reports) == len(programs)
         assert all(not lane for lane in reports)
 
@@ -58,7 +58,7 @@ class TestFaultDetection:
             1 for seed in range(4)
             if differential_check(
                 random_program(seed, 8, 2), config,
-                executors=("compiled",), fault=fault, seed=seed,
+                executors=("bitparallel",), fault=fault, seed=seed,
             )
         )
         assert caught == 4

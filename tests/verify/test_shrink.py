@@ -27,8 +27,9 @@ class TestShrink:
         # The satellite acceptance bar: a seeded divergence shrinks to
         # at most 5 instructions, identically on every run.
         program = random_program(1, 8, 2)
-        first = shrink(program, CONFIG, executors=("compiled",), fault=wdata_fault)
-        second = shrink(program, CONFIG, executors=("compiled",), fault=wdata_fault)
+        kwargs = dict(executors=("bitparallel",), fault=wdata_fault)
+        first = shrink(program, CONFIG, **kwargs)
+        second = shrink(program, CONFIG, **kwargs)
         assert first.size <= 5
         assert first.size < first.original_size
         assert first.program.instructions == second.program.instructions
@@ -37,21 +38,21 @@ class TestShrink:
     def test_non_failing_program_is_rejected(self):
         program = random_program(0, 8, 2)
         with pytest.raises(ValueError):
-            shrink(program, CONFIG, executors=("compiled",))
+            shrink(program, CONFIG, executors=("bitparallel",))
 
     def test_shrunk_program_still_fails(self, wdata_fault):
         from repro.verify.differential import differential_check
 
         result = shrink(
             random_program(2, 8, 2), CONFIG,
-            executors=("compiled",), fault=wdata_fault,
+            executors=("bitparallel",), fault=wdata_fault,
         )
         assert differential_check(
-            result.program, CONFIG, executors=("compiled",), fault=wdata_fault
+            result.program, CONFIG, executors=("bitparallel",), fault=wdata_fault
         )
         # ... and agrees once the "defect" is gone.
         assert not differential_check(
-            result.program, CONFIG, executors=("compiled",)
+            result.program, CONFIG, executors=("bitparallel",)
         )
 
 
@@ -85,7 +86,7 @@ class TestEmission:
     def test_emitted_case_is_valid_python_and_rebuilds(self, wdata_fault):
         result = shrink(
             random_program(1, 8, 2), CONFIG,
-            executors=("compiled",), fault=wdata_fault,
+            executors=("bitparallel",), fault=wdata_fault,
         )
         source = emit_pytest_case(
             result.program, CONFIG, seed=1, note="stuck-at-1 wdata[0]"
