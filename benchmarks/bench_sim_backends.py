@@ -4,12 +4,12 @@ Times lock-step co-simulation (the hot loop behind every headline
 result: Figure 7/8 verification, fault campaigns, measured-activity
 power) on the standard sweep cores with both ``CoSimHarness`` backends
 (the interpreter, and the compiled kernel at one bigint lane), plus a
-sampled fault campaign with the interpreted and bit-parallel batched
-engines, plus the tracked full-stride campaign
-(``fault_campaign_numpy``) that races the bigint lane backend against
-the vectorized numpy bit-slice backend on every fault site of the
-p1_8_2 mult8 core -- the headline the numpy backend must hold:
->100x interpreted and >5x batched, bit-exact detected-fault sets.
+sampled fault campaign on both campaign backends (interpreted and
+numpy lanes, bit-exact detected-fault sets), plus the tracked
+full-stride campaign (``fault_campaign_numpy``) that runs the
+vectorized numpy bit-slice backend on every fault site of the p1_8_2
+mult8 core -- the headline it must hold is
+:data:`NUMPY_VS_INTERPRETED_FLOOR` times the interpreter.
 The ``yield_engine`` section races the vectorized Monte-Carlo timing
 sampler (:mod:`repro.mc.timing`) against the scalar per-trial
 reference walk on the same fleet (bit-exact prefix asserted); its
@@ -147,7 +147,7 @@ def bench_fault_campaign(max_faults: int = 40) -> dict:
     program = build_benchmark("mult", 8, 8)
     results = {}
     reference = None
-    for backend in ("interpreted", "batched"):
+    for backend in ("interpreted", "numpy"):
         with obs.span("bench_fault_campaign", backend=backend):
             start = time.perf_counter()
             campaign = run_fault_campaign(
@@ -168,18 +168,18 @@ def bench_fault_campaign(max_faults: int = 40) -> dict:
             f"fault campaign [{backend:>11}]: {campaign.total} faults in "
             f"{elapsed:6.2f}s ({campaign.detected} detected)"
         )
-    results["batched"]["speedup"] = round(
-        results["interpreted"]["seconds"] / max(1e-9, results["batched"]["seconds"]), 2
+    results["numpy"]["speedup"] = round(
+        results["interpreted"]["seconds"] / max(1e-9, results["numpy"]["seconds"]), 2
     )
     return results
 
 
-#: Floors the numpy campaign headline must hold (``--check``).
-NUMPY_VS_INTERPRETED_FLOOR = 100.0
-NUMPY_VS_BATCHED_FLOOR = 5.0
-
-#: Tolerated drop of the recorded numpy headline speedup, percent.
-NUMPY_REGRESSION_PCT = 10.0
+#: Floor the numpy campaign headline must hold (``--check``): the
+#: full-stride campaign against the interpreter's extrapolated rate.
+#: It carries the bar of the retired numpy-vs-bigint-lanes gate (5.21x,
+#: 10% under a recorded 5.79x) times the bigint lanes' own ratio to the
+#: interpreter, 49.05x (median of 16 in-process rounds on a 2-vCPU Xeon).
+NUMPY_VS_INTERPRETED_FLOOR = 256.0
 
 
 def bench_fault_campaign_numpy(
@@ -188,12 +188,11 @@ def bench_fault_campaign_numpy(
     """The tracked numpy headline: every p1_8_2/mult8 fault site.
 
     Runs the **full-stride** stuck-at campaign (one fault per instance
-    output and polarity, ~1000 sites) on the bigint batched backend
-    and the numpy bit-slice backend, asserting the detected-fault sets
-    are bit-exact; the interpreted baseline is timed on a
-    ``interpreted_sample``-fault sample and extrapolated (running all
-    sites interpreted takes minutes -- exactly why this backend
-    exists).
+    output and polarity, ~1000 sites) on the numpy bit-slice backend;
+    the interpreted baseline is timed on an ``interpreted_sample``-fault
+    sample and extrapolated (running all sites interpreted takes
+    minutes -- exactly why this backend exists).  Its detected-fault
+    set is pinned in ``tests/data/result_pins.json``.
     """
     program = build_benchmark("mult", 8, 8)
     results: dict = {}
@@ -217,37 +216,26 @@ def bench_fault_campaign_numpy(
         f"{sampled_elapsed:6.2f}s ({interpreted_rate:.0f} faults/s)"
     )
 
-    outcomes = {}
-    for backend in ("batched", "numpy"):
-        # Best of two timed passes: the first also pays compile /
-        # cache-load cost, and the minimum filters scheduler jitter
-        # out of the ratio the --check floors gate on.
-        elapsed = float("inf")
-        with obs.span("bench_fault_campaign_numpy", backend=backend):
-            for _ in range(2):
-                start = time.perf_counter()
-                campaign = run_fault_campaign(
-                    program, stride=stride, backend=backend
-                )
-                elapsed = min(elapsed, time.perf_counter() - start)
-        outcomes[backend] = (
-            campaign.total, campaign.detected, campaign.undetected_sites
-        )
-        results[backend] = {
-            "seconds": round(elapsed, 3),
-            "faults": campaign.total,
-            "detected": campaign.detected,
-            "faults_per_s": round(campaign.total / max(1e-9, elapsed), 1),
-        }
-        print(
-            f"numpy campaign [{backend:>11}]: {campaign.total} faults in "
-            f"{elapsed:6.2f}s ({campaign.detected} detected, "
-            f"{results[backend]['faults_per_s']:.0f} faults/s)"
-        )
-    if outcomes["numpy"] != outcomes["batched"]:
-        raise AssertionError(
-            "numpy campaign diverged from batched (detected-fault sets differ)"
-        )
+    # Best of two timed passes: the first also pays plan-build /
+    # cache-load cost, and the minimum filters scheduler jitter out of
+    # the ratio the --check floor gates on.
+    elapsed = float("inf")
+    with obs.span("bench_fault_campaign_numpy", backend="numpy"):
+        for _ in range(2):
+            start = time.perf_counter()
+            campaign = run_fault_campaign(program, stride=stride)
+            elapsed = min(elapsed, time.perf_counter() - start)
+    results["numpy"] = {
+        "seconds": round(elapsed, 3),
+        "faults": campaign.total,
+        "detected": campaign.detected,
+        "faults_per_s": round(campaign.total / max(1e-9, elapsed), 1),
+    }
+    print(
+        f"numpy campaign [      numpy]: {campaign.total} faults in "
+        f"{elapsed:6.2f}s ({campaign.detected} detected, "
+        f"{results['numpy']['faults_per_s']:.0f} faults/s)"
+    )
 
     total = results["numpy"]["faults"]
     interpreted_est = total / interpreted_rate
@@ -255,31 +243,11 @@ def bench_fault_campaign_numpy(
     results["speedup_vs_interpreted"] = round(
         interpreted_est / max(1e-9, results["numpy"]["seconds"]), 1
     )
-    results["speedup_vs_batched"] = round(
-        results["batched"]["seconds"] / max(1e-9, results["numpy"]["seconds"]), 2
-    )
     print(
         f"numpy campaign headline: {results['speedup_vs_interpreted']}x "
-        f"interpreted, {results['speedup_vs_batched']}x batched"
+        "interpreted"
     )
     return results
-
-
-def _numpy_regression(out_path: Path, campaign: dict) -> float | None:
-    """Drop of the numpy-vs-batched headline vs baseline, percent.
-
-    The batched ratio is the regression metric because both sides are
-    measured in the same process on the same sites; the interpreted
-    ratio rides on a small extrapolated sample and is gated only by
-    its absolute floor.
-    """
-    try:
-        baseline = json.loads(out_path.read_text())
-        before = baseline["fault_campaign_numpy"]["speedup_vs_batched"]
-    except (OSError, KeyError, ValueError):
-        return None
-    now = campaign["speedup_vs_batched"]
-    return round(100.0 * (before - now) / before, 2)
 
 
 #: Worker counts measured by the parallel-scaling section.
@@ -290,6 +258,10 @@ SCALING_FLOOR = 2.5
 
 #: Tolerated serial (jobs=1) slowdown vs the checked-in baseline.
 SCALING_REGRESSION_FACTOR = 2.5
+
+#: Faults per campaign chunk in the scaling rounds: small enough that
+#: the campaign leg fans out in several chunks at any stride.
+SCALING_LANES = 48
 
 
 def _scaling_round(jobs: int, campaign_stride: int) -> tuple[dict, tuple]:
@@ -304,7 +276,9 @@ def _scaling_round(jobs: int, campaign_stride: int) -> tuple[dict, tuple]:
     sweep = sweep_design_spaces(("EGFET", "CNT"), jobs=jobs)
     timings["sweep_s"] = time.perf_counter() - start
     start = time.perf_counter()
-    campaign = run_fault_campaign(program, stride=campaign_stride, jobs=jobs)
+    campaign = run_fault_campaign(
+        program, stride=campaign_stride, lanes=SCALING_LANES, jobs=jobs
+    )
     timings["fault_campaign_s"] = time.perf_counter() - start
     start = time.perf_counter()
     suite = evaluate_suite(jobs=jobs)
@@ -671,7 +645,6 @@ def main(argv: list[str]) -> int:
     report["headline_speedup_p1_8_2"] = cosim[HEADLINE.name]["speedup"]
     report["headline_numpy_campaign"] = {
         "speedup_vs_interpreted": numpy_fault["speedup_vs_interpreted"],
-        "speedup_vs_batched": numpy_fault["speedup_vs_batched"],
     }
     regression = _baseline_regression(out, overhead)
     if regression is not None:
@@ -682,12 +655,6 @@ def main(argv: list[str]) -> int:
     if serial_ratio is not None:
         report["serial_regression_factor"] = serial_ratio
         print(f"serial (jobs=1) combined time vs baseline: x{serial_ratio:.2f}")
-    numpy_drop = _numpy_regression(out, numpy_fault)
-    if numpy_drop is not None:
-        report["numpy_regression_pct"] = numpy_drop
-        print(
-            f"numpy headline vs checked-in baseline: {numpy_drop:+.2f}% drop"
-        )
 
     if smoke:
         # The file stays untouched, but the measured ratios still feed
@@ -716,21 +683,6 @@ def main(argv: list[str]) -> int:
             f"FAIL: numpy campaign speedup "
             f"{numpy_fault['speedup_vs_interpreted']}x vs interpreted is below "
             f"the {NUMPY_VS_INTERPRETED_FLOOR}x floor",
-            file=sys.stderr,
-        )
-        return 1
-    if check and numpy_fault["speedup_vs_batched"] < NUMPY_VS_BATCHED_FLOOR:
-        print(
-            f"FAIL: numpy campaign speedup "
-            f"{numpy_fault['speedup_vs_batched']}x vs batched is below the "
-            f"{NUMPY_VS_BATCHED_FLOOR}x floor",
-            file=sys.stderr,
-        )
-        return 1
-    if check and numpy_drop is not None and numpy_drop > NUMPY_REGRESSION_PCT:
-        print(
-            f"FAIL: numpy headline dropped {numpy_drop:.1f}% vs the recorded "
-            f"baseline (tolerance {NUMPY_REGRESSION_PCT}%)",
             file=sys.stderr,
         )
         return 1

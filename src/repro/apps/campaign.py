@@ -1,16 +1,16 @@
 """``python -m repro campaign``: fault campaigns from the command line.
 
 Runs a stuck-at fault-injection campaign for one benchmark on one
-core configuration, on any of the three campaign backends::
+core configuration, on numpy lanes (the default) or one fault at a
+time on the interpreter, the reference::
 
-    python -m repro campaign --program mult --width 8 --backend numpy
-    python -m repro campaign --backend batched --stride 4 --jobs 2
+    python -m repro campaign --program mult --width 8
+    python -m repro campaign --stride 4 --lanes 48 --jobs 2
     python -m repro campaign --config p1_8_2 --backend interpreted --max-faults 20
 
 and ``python -m repro campaign --verify-suite`` lane-packs every
-native-width benchmark through the selected lane backend and diffs
-each lane against the instruction-set simulator (the
-:func:`repro.eval.suite.verify_suite` hook).
+native-width benchmark on numpy lanes and diffs each lane against the
+instruction-set simulator (:func:`repro.eval.suite.verify_suite`).
 
 See ``docs/MODELS.md`` ("Simulation backends") for how to pick a
 backend and what a campaign's lanes carry.
@@ -25,23 +25,20 @@ from dataclasses import replace
 from repro import cli
 from repro.errors import ReproError
 
-#: Backends --verify-suite accepts: the lane-packed ones.
-LANE_BACKENDS = ("numpy", "batched")
-
 CAMPAIGN_OPTIONS = (
     cli.PROGRAM,
     cli.WIDTH,
     replace(cli.CONFIG, default=None,
             help="core pP_D_B (None: one-stage core of --width bits)"),
     cli.Option("--backend", str, "numpy", "simulation backend",
-               choices=(*LANE_BACKENDS, "interpreted")),
+               choices=("numpy", "interpreted")),
     cli.Option("--stride", cli.positive_int, 8, "inject every N-th fault"),
     cli.Option("--max-faults", cli.positive_int, None, "fault cap"),
     cli.Option("--lanes", cli.positive_int, None,
                "faults per lane pass (None: backend default)"),
     cli.JOBS,
     cli.Option("--verify-suite", None, False,
-               "diff every native benchmark on a lane backend vs the ISS"),
+               "diff every native benchmark on numpy lanes vs the ISS"),
 )
 
 
@@ -78,15 +75,14 @@ def campaign_main(argv: list[str]) -> int:
         from repro.eval.suite import verify_suite
         from repro.errors import SimulationError
 
-        if backend not in LANE_BACKENDS:
+        if backend != "numpy":
             return cli.usage_error(
                 "campaign", CAMPAIGN_OPTIONS,
-                f"--verify-suite needs a lane backend "
-                f"({' | '.join(LANE_BACKENDS)}), got {backend!r}",
+                f"--verify-suite needs the numpy lane backend, got {backend!r}",
             )
         started = time.perf_counter()
         try:
-            verified = verify_suite(backend)
+            verified = verify_suite()
         except SimulationError as exc:
             print(f"FAIL: {exc}", file=sys.stderr)
             return 1

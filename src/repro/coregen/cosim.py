@@ -84,6 +84,44 @@ def architectural_nets(
     )
 
 
+def initial_memory(program: Program, config: CoreConfig) -> list[int]:
+    """The core's data memory at reset: ``program.data`` masked to the
+    datapath width, zeros elsewhere.
+
+    Raises:
+        SimulationError: If the program places data outside the core's
+            memory.
+    """
+    memory = [0] * config.data_memory_words()
+    mask = (1 << config.datawidth) - 1
+    for address, value in program.data.items():
+        if address >= len(memory):
+            raise SimulationError(
+                f"data at {address} exceeds the core's "
+                f"{len(memory)}-word memory"
+            )
+        memory[address] = value & mask
+    return memory
+
+
+def halt_word_encoder(config: CoreConfig):
+    """``pc -> instruction word`` for fetches past the program end.
+
+    Encodes a branch-to-self, so a core that runs off its program
+    parks there.  :class:`CoSimHarness` pads its ROM with it, and the
+    lane harnesses of the fault campaign and the differential verifier
+    (:class:`~repro.netlist.lanes.LaneMemoryHarness`) take it as their
+    ``halt_word``.
+    """
+
+    def encode(pc: int) -> int:
+        return encode_for_core(
+            Instruction(Mnemonic.BRN, target=pc, mask=0), config
+        )
+
+    return encode
+
+
 class CoSimHarness:
     """Drives one generated core against behavioural memories.
 
@@ -136,26 +174,13 @@ class CoSimHarness:
             )
         self._flag_nets, self._bar_nets = architectural_nets(self.netlist)
         self.rom = encode_program_for_core(program, config)
-        self.memory = [0] * config.data_memory_words()
-        mask = (1 << config.datawidth) - 1
-        for address, value in program.data.items():
-            if address >= len(self.memory):
-                raise SimulationError(
-                    f"data at {address} exceeds the core's "
-                    f"{len(self.memory)}-word memory"
-                )
-            self.memory[address] = value & mask
+        self.memory = initial_memory(program, config)
+        self._halt_word = halt_word_encoder(config)
         self.cycle = 0
         self.wrote_last_cycle = False
         self.sim.reset()
 
     # -- memory model ------------------------------------------------------
-
-    def _halt_word(self, pc: int) -> int:
-        """Fetch word for addresses past the program: branch-to-self."""
-        return encode_for_core(
-            Instruction(Mnemonic.BRN, target=pc, mask=0), self.config
-        )
 
     def _fetch(self, pc: int) -> int:
         return self.rom[pc] if pc < len(self.rom) else self._halt_word(pc)

@@ -26,14 +26,16 @@ lane-packed (one unit per lane, all of its stuck-at faults forced at
 once) through the campaign machinery of
 :mod:`repro.coregen.fault_test` and compared against the golden
 signature: equal signature = working unit, divergence or a wedged
-simulation = broken unit.
+simulation = broken unit.  The packing (``lane_signatures``) and the
+wedge bisection (``safe_signatures``, :data:`WEDGED`) are the fault
+campaign's own, bound here for the yield engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.coregen.fault_test import lane_signatures
+from repro.coregen.fault_test import WEDGED, lane_signatures, safe_signatures
 from repro.errors import PDKError
 from repro.netlist.core import Netlist
 from repro.netlist.faults import StuckAtFault
@@ -43,9 +45,6 @@ from repro.mc.sampling import SubstreamSampler
 
 #: Sampler namespace for defect draws.
 DEFECT_DOMAIN = "defects"
-
-#: Signature sentinel for a unit whose simulation wedged (certainly broken).
-WEDGED = ("wedged",)
 
 
 def defect_probabilities(
@@ -119,30 +118,3 @@ def unit_defects(
                 StuckAtFault(instance_index=k, stuck_value=sampler.bit(k, unit))
             )
     return tuple(faults)
-
-
-def safe_signatures(
-    program,
-    config,
-    cycles: int,
-    fault_sets: list,
-    context=None,
-) -> list[tuple]:
-    """Lane-packed signatures with wedge isolation.
-
-    A pathological defect set can wedge the whole packed pass (e.g. a
-    stuck clock-tree cell).  When the batch raises, bisect it until the
-    offending lanes are isolated; a single lane that still raises
-    reports :data:`WEDGED` -- that unit is certainly broken.
-    """
-    if not fault_sets:
-        return []
-    try:
-        return lane_signatures(program, config, cycles, fault_sets, context)
-    except Exception:
-        if len(fault_sets) == 1:
-            return [WEDGED]
-        mid = len(fault_sets) // 2
-        return safe_signatures(
-            program, config, cycles, fault_sets[:mid], context
-        ) + safe_signatures(program, config, cycles, fault_sets[mid:], context)

@@ -5,18 +5,17 @@ Both lane-parallel simulation backends -- the bigint
 bit-slice :class:`~repro.netlist.nsim.NumpySimulator` -- advance K
 *independent runs* of one netlist per pass.  The runs may differ only
 in three ways: forced nets (per-lane stuck-at faults), initial data
-memory, and per-cycle stimulus.  :class:`LanePlan` is the shared
-description of such a batch: the simulators consume its forced-net
-map, the campaign/verify harnesses consume its per-lane memory images,
-and stimulus stays with the harness (it is a per-cycle stream, driven
-through ``set_input`` with one value per lane).
+memory, and per-cycle stimulus.  :class:`LanePlan` describes the
+first: the simulators consume its forced-net map.  Initial memories
+and stimulus stay with the harness (:class:`LaneMemoryHarness` takes
+the images; stimulus is a per-cycle stream, driven through
+``set_input`` with one value per lane).
 
-Keeping the plan backend-agnostic is what lets
-:func:`repro.coregen.fault_test.run_fault_campaign` and the verify
-differential executor switch between bigint lanes and numpy bit-slice
-words without touching batching logic -- and what keeps the two
-backends bit-exact by construction: they build their force masks from
-the *same* ``forced_bits`` map.
+Keeping the plan backend-agnostic is what lets the verify
+differential executor run bigint lanes and numpy bit-slice words
+without touching batching logic -- and what keeps the two backends
+bit-exact by construction: they build their force masks from the
+*same* ``forced_bits`` map.
 
 :class:`LaneMemoryHarness` is the matching *architectural* half: the
 behavioural instruction-ROM / data-RAM model every lane-packed core
@@ -76,14 +75,10 @@ class LanePlan:
             backends' force order (and-mask then or-mask) makes
             stuck-at-1 win; the Monte-Carlo defect sampler never emits
             duplicate sites, so this only matters for hand-built plans.
-        memories: Optional per-lane initial data-memory images (a
-            ``lanes``-tuple of word tuples).  Consumed by harnesses,
-            not by the simulators themselves.
     """
 
     lanes: int
     faults: tuple | None = None
-    memories: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.lanes < 1:
@@ -91,10 +86,6 @@ class LanePlan:
         if self.faults is not None and len(self.faults) != self.lanes:
             raise SimulationError(
                 f"{len(self.faults)} faults for {self.lanes} lanes"
-            )
-        if self.memories is not None and len(self.memories) != self.lanes:
-            raise SimulationError(
-                f"{len(self.memories)} memory images for {self.lanes} lanes"
             )
 
     @classmethod
@@ -141,19 +132,6 @@ class LanePlan:
                 net = int(outputs[fault.instance_index])
                 forced.setdefault(net, []).append((lane, fault.stuck_value))
         return forced
-
-    def memory_images(self, base: Sequence[int]) -> list[list[int]]:
-        """Per-lane initial data memories, one mutable list per lane.
-
-        Lanes with no explicit image in :attr:`memories` get a copy of
-        ``base`` -- the common case for fault campaigns, where every
-        lane starts from the program's data segment.
-        """
-        if self.memories is None:
-            return [list(base) for _ in range(self.lanes)]
-        return [
-            list(base if image is None else image) for image in self.memories
-        ]
 
 
 @dataclass(frozen=True)

@@ -201,9 +201,9 @@ def extract_series(report: dict) -> dict:
         if _is_number(result.get("speedup")):
             series[f"bench.cosim.{core}.speedup"] = result["speedup"]
     campaign = report.get("fault_campaign_numpy", {})
-    for key in ("speedup_vs_interpreted", "speedup_vs_batched"):
-        if _is_number(campaign.get(key)):
-            series[f"bench.fault_campaign_numpy.{key}"] = campaign[key]
+    speedup = campaign.get("speedup_vs_interpreted")
+    if _is_number(speedup):
+        series["bench.fault_campaign_numpy.speedup_vs_interpreted"] = speedup
     for backend, result in campaign.items():
         if isinstance(result, dict) and _is_number(result.get("faults_per_s")):
             series[f"bench.fault_campaign_numpy.{backend}.faults_per_s"] = (

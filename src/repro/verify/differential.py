@@ -28,8 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.coregen.config import CoreConfig, program_specific_config
-from repro.coregen.cosim import architectural_nets, cosim_verify
-from repro.coregen.fault_test import halt_word_encoder
+from repro.coregen.cosim import (
+    architectural_nets,
+    cosim_verify,
+    halt_word_encoder,
+    initial_memory,
+)
 from repro.coregen.generator import generate_core
 from repro.coregen.isa_map import encode_program_for_core
 from repro.errors import ConfigError, ReproError
@@ -192,6 +196,11 @@ def fault_site_for_output(netlist, bus: str, bit: int = 0, stuck: int = 1):
     nets = netlist.outputs.get(bus)
     if nets is None:
         raise ReproError(f"netlist has no output bus {bus!r}")
+    if not 0 <= bit < nets.width:
+        raise ReproError(
+            f"bit {bit} is outside output {bus!r}, which is "
+            f"{nets.width} bits wide (0..{nets.width - 1})"
+        )
     driver = int(netlist.cells.driver[nets[bit]])
     if driver < 0:
         raise ReproError(f"output {bus}[{bit}] is not instance-driven")
@@ -229,20 +238,12 @@ def lane_verify(
     sim = simulator(netlist, lanes, faults=faults)
     flag_nets, bar_nets = architectural_nets(netlist)
 
-    mask = (1 << config.datawidth) - 1
     roms = [encode_program_for_core(p, config) for p in programs]
-    initial = []
-    for program in programs:
-        memory = [0] * config.data_memory_words()
-        for address, value in program.data.items():
-            memory[address] = value & mask
-        initial.append(memory)
-
     harness = LaneMemoryHarness(
         sim,
         lanes=lanes,
         roms=roms,
-        memories=initial,
+        memories=[initial_memory(p, config) for p in programs],
         halt_word=halt_word_encoder(config),
         pc_bits=len(netlist.outputs["pc"].nets),
     )

@@ -17,7 +17,7 @@ class TestCampaignCli:
 
     def test_config_by_name(self, capsys):
         code = campaign_main(
-            ["--config", "p1_8_2", "--backend", "batched", "--stride", "32"]
+            ["--config", "p1_8_2", "--stride", "32"]
         )
         out = capsys.readouterr().out
         assert code == 0

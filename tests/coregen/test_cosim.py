@@ -6,14 +6,16 @@ the final architectural state -- PC, flags, BARs, all of data memory --
 is compared against the reference simulator.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.isa.analysis import analyze_program
 from repro.isa.assembler import assemble
 from repro.programs import build_benchmark
 from repro.coregen.config import CoreConfig, program_specific_config
-from repro.coregen.cosim import CoSimHarness, cosim_verify
+from repro.coregen.cosim import CoSimHarness, cosim_verify, initial_memory
 
 # Kept quick: one representative kernel per family, plus the deep
 # coalescing and dynamic-BAR configurations.
@@ -117,3 +119,14 @@ def test_harness_exposes_architectural_state():
     assert harness.memory[0] == 7
     harness.step()  # HALT (branch to self)
     assert harness.pc == 1
+
+
+def test_initial_memory_masks_data_and_refuses_outside_addresses():
+    config = CoreConfig(datawidth=4, address_bits=2)
+    program = dataclasses.replace(
+        assemble(".word x 3\nHALT\n"), data={0: 0x1F, 2: 6}
+    )
+    assert initial_memory(program, config) == [0xF, 0, 6, 0]
+    outside = dataclasses.replace(program, data={4: 1})
+    with pytest.raises(SimulationError, match="data at 4 exceeds the core"):
+        initial_memory(outside, config)

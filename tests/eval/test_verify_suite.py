@@ -1,10 +1,9 @@
 """Lane-packed suite verification (:func:`repro.eval.suite.verify_suite`)."""
 
-import pytest
-
 import repro.eval.suite as suite_mod
-from repro.errors import SimulationError
-from repro.eval.suite import evaluate_suite, verify_groups, verify_suite
+from repro.eval.suite import verify_groups, verify_suite
+from repro.netlist.compile import BitParallelSimulator
+from repro.verify.differential import lane_verify
 
 
 def test_verify_groups_cover_native_widths():
@@ -23,29 +22,16 @@ def test_verify_groups_cover_native_widths():
         assert config.pipeline_stages == 1
 
 
-def test_verify_suite_rejects_unknown_backend():
-    with pytest.raises(SimulationError, match="unknown lane backend"):
-        verify_suite("jit")
-
-
-def test_verify_suite_batched_full():
-    verified = verify_suite("batched")
-    assert verified == {"p1_8_2": 7, "p1_16_2": 6, "p1_32_2": 6}
+def test_suite_agrees_with_iss_on_bigint_lanes():
+    """Every native benchmark, packed per core on bigint lanes (the
+    verifier's ``bitparallel`` executor), agrees with the ISS."""
+    for config, names, programs in verify_groups():
+        reports = lane_verify(programs, config, simulator=BitParallelSimulator)
+        assert dict(zip(names, reports)) == {name: [] for name in names}
 
 
 def test_verify_suite_numpy_first_group(monkeypatch):
     """The numpy leg on the 8-bit group (the full sweep runs in CI)."""
     groups = verify_groups()[:1]
     monkeypatch.setattr(suite_mod, "verify_groups", lambda: groups)
-    assert verify_suite("numpy") == {"p1_8_2": 7}
-
-
-def test_evaluate_suite_with_verification(monkeypatch):
-    """``verify_backend=`` gates evaluation on a clean verify pass."""
-    calls = []
-    monkeypatch.setattr(
-        suite_mod, "verify_suite", lambda backend: calls.append(backend) or {}
-    )
-    results = evaluate_suite(("EGFET",), verify_backend="numpy")
-    assert calls == ["numpy"]
-    assert results
+    assert verify_suite() == {"p1_8_2": 7}

@@ -186,12 +186,6 @@ class TestPipelineDeterminism:
         assert both["EGFET"] == sweep_design_space("EGFET")
         assert both["CNT"] == sweep_design_space("CNT")
 
-    def test_fault_campaign_batched(self, cache_dir):
-        program = build_benchmark("mult", 8, 4)
-        serial = run_fault_campaign(program, max_faults=96)
-        parallel = run_fault_campaign(program, max_faults=96, jobs=2)
-        assert serial == parallel
-
     def test_fault_campaign_numpy_parallel(self, cache_dir):
         program = build_benchmark("mult", 8, 4)
         serial = run_fault_campaign(
@@ -202,15 +196,25 @@ class TestPipelineDeterminism:
         )
         assert serial == parallel
 
-    def test_fault_campaign_scalar_fallback(self, cache_dir, monkeypatch):
-        def explode(*args, **kwargs):
-            raise RuntimeError("batched engine down")
-
-        monkeypatch.setattr(fault_test, "_run_batched", explode)
+    def test_fault_campaign_bisects_wedged_batches(self, cache_dir, monkeypatch):
         program = build_benchmark("mult", 8, 4)
-        serial = run_fault_campaign(program, max_faults=24)
-        parallel = run_fault_campaign(program, max_faults=24, jobs=2)
-        assert serial == parallel
+        expected = run_fault_campaign(program, max_faults=24, lanes=8)
+        original = fault_test.lane_signatures
+        wedged = []
+
+        def wedging(program, config, cycles, fault_sets, context=None):
+            # A batch of four or more lanes wedges, so every 8-lane
+            # chunk bisects down to runs of two lanes.
+            if len(fault_sets) >= 4:
+                wedged.append(len(fault_sets))
+                raise RuntimeError("wedged batch")
+            return original(program, config, cycles, fault_sets, context)
+
+        monkeypatch.setattr(fault_test, "lane_signatures", wedging)
+        serial = run_fault_campaign(program, max_faults=24, lanes=8)
+        assert wedged == [8, 4, 4] * 3
+        parallel = run_fault_campaign(program, max_faults=24, lanes=8, jobs=2)
+        assert serial == parallel == expected
         assert serial.total == 24
 
     def test_fault_campaign_scalar_backend(self, cache_dir):

@@ -10,8 +10,7 @@ other, for shared- and per-lane-ROM packings.
 import pytest
 
 from repro.coregen.config import CoreConfig
-from repro.coregen.cosim import CoSimHarness
-from repro.coregen.fault_test import halt_word_encoder
+from repro.coregen.cosim import CoSimHarness, halt_word_encoder, initial_memory
 from repro.coregen.generator import generate_core
 from repro.coregen.isa_map import encode_program_for_core
 from repro.errors import SimulationError
@@ -29,13 +28,7 @@ def setup():
     netlist = generate_core(config)
     programs = [build_benchmark("mult", 8, 8), build_benchmark("crc8", 8, 8)]
     roms = [encode_program_for_core(p, config) for p in programs]
-    mask = (1 << config.datawidth) - 1
-    memories = []
-    for program in programs:
-        memory = [0] * config.data_memory_words()
-        for address, value in program.data.items():
-            memory[address] = value & mask
-        memories.append(memory)
+    memories = [initial_memory(p, config) for p in programs]
     return config, netlist, programs, roms, memories
 
 

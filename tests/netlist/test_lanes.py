@@ -37,10 +37,6 @@ class TestLanePlan:
         with pytest.raises(SimulationError, match="3 faults for 2 lanes"):
             LanePlan(lanes=2, faults=(None, None, None))
 
-    def test_rejects_memory_count_mismatch(self):
-        with pytest.raises(SimulationError, match="memory images"):
-            LanePlan(lanes=3, memories=((0,), (0,)))
-
     def test_for_faults_one_lane_per_entry(self):
         faults = (StuckAtFault(0, 1), None, StuckAtFault(2, 0))
         plan = LanePlan.for_faults(faults)
@@ -71,13 +67,6 @@ class TestLanePlan:
         plan = LanePlan.for_faults((StuckAtFault(10**6, 1),))
         with pytest.raises(SimulationError, match="no instance"):
             plan.forced_bits(netlist)
-
-    def test_memory_images_default_to_base(self):
-        plan = LanePlan(lanes=3, memories=(None, (7, 8), None))
-        images = plan.memory_images((1, 2))
-        assert images == [[1, 2], [7, 8], [1, 2]]
-        images[0][0] = 99  # mutable copies, not aliases
-        assert plan.memory_images((1, 2))[0] == [1, 2]
 
     @pytest.mark.parametrize(
         "simulator", [BitParallelSimulator, NumpySimulator],

@@ -296,7 +296,7 @@ class TestCampaignEquivalence:
         )
         campaigns = {
             backend: run_fault_campaign(program, stride=31, backend=backend)
-            for backend in ("interpreted", "batched", "numpy")
+            for backend in ("interpreted", "numpy")
         }
         reference = campaigns["interpreted"]
         for backend, campaign in campaigns.items():
@@ -308,7 +308,7 @@ class TestCampaignEquivalence:
         """A site count that does not divide the lane width still
         covers every fault exactly once."""
         program = assemble(".word x 1\nSTORE x, 2\nHALT\n", name="simple")
-        campaign = run_fault_campaign(program, stride=40, backend="batched", lanes=7)
+        campaign = run_fault_campaign(program, stride=40, lanes=7)
         assert campaign.total == campaign.detected + len(campaign.undetected_sites)
         assert campaign.total > 7
 

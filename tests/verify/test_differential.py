@@ -70,6 +70,15 @@ class TestFaultDetection:
         with pytest.raises(ReproError):
             fault_site_for_output(netlist, "no_such_bus")
 
+    @pytest.mark.parametrize("bit", [-1, 8, 99])
+    def test_fault_site_rejects_bit_outside_bus(self, bit):
+        from repro.errors import ReproError
+
+        netlist = generate_core(CoreConfig(datawidth=8))
+        with pytest.raises(ReproError, match="'wdata', which is 8 bits wide"):
+            fault_site_for_output(netlist, "wdata", bit)
+        assert fault_site_for_output(netlist, "wdata", 7).stuck_value == 1
+
 
 class TestBarRemap:
     def sparse_bar_program(self):
