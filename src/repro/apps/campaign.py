@@ -96,6 +96,12 @@ def campaign_main(argv: list[str]) -> int:
         )
         return 0
 
+    if args.lanes is not None and backend != "numpy":
+        return cli.usage_error(
+            "campaign", CAMPAIGN_OPTIONS,
+            f"--lanes needs the numpy lane backend, got {backend!r}",
+        )
+
     from repro.coregen.fault_test import run_fault_campaign
 
     try:

@@ -285,7 +285,8 @@ def run_fault_campaign(
         backend: ``"numpy"`` (default; vectorized bit-slice lanes) or
             ``"interpreted"`` (one fault at a time on the reference).
         lanes: Faults per numpy pass; defaults to
-            :data:`DEFAULT_NUMPY_LANES`.
+            :data:`DEFAULT_NUMPY_LANES`.  The interpreted backend runs
+            one fault at a time and refuses it.
         jobs: Worker processes for the fault fan-out (``None`` defers
             to ``--jobs`` / ``REPRO_JOBS`` / serial).  Results are
             bit-exact against ``jobs=1``.
@@ -295,12 +296,18 @@ def run_fault_campaign(
     count (a wedged run reads :data:`WEDGED`, which always differs).
 
     Raises:
-        ConfigError: If ``backend`` is not one of :data:`BACKENDS`.
+        ConfigError: If ``backend`` is not one of :data:`BACKENDS`, or
+            if ``lanes`` is given to the interpreted backend.
     """
     if backend not in BACKENDS:
         raise ConfigError(
             f"unknown campaign backend {backend!r} "
             f"(choose from {', '.join(BACKENDS)})"
+        )
+    if lanes is not None and backend != "numpy":
+        raise ConfigError(
+            f"lanes={lanes} needs the numpy backend: the {backend} "
+            "backend runs one fault at a time"
         )
     if config is None:
         config = CoreConfig(

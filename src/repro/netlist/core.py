@@ -210,8 +210,9 @@ class Netlist:
         (kind, inputs, output, order, level) -- no ``Instance`` objects
         and none of the plans the analyses memoize on the netlist
         (compiled code, numpy and STA plans, cell-kind index, fleet
-        timing kernels, clock schedule): those derive from the arrays
-        in milliseconds.  So the on-disk ``netlist`` artifact and
+        timing kernels, clock schedule, the interpreter's step plan,
+        the flag/BAR net index): those derive from the arrays and
+        names in milliseconds.  So the on-disk ``netlist`` artifact and
         process-pool transfers carry the arrays, and
         :meth:`__setstate__` checks them before use.
         """

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import SimulationError
-from repro.netlist.core import CELL_FUNCTIONS, Netlist, SEQUENTIAL_CELLS
+from repro.netlist.core import Netlist
 from repro.netlist.sim import CycleSimulator
 from repro.obs.metrics import counter as _obs_counter
 
@@ -40,33 +40,33 @@ class StuckAtFault:
 class FaultySimulator(CycleSimulator):
     """A cycle simulator with one injected stuck-at fault.
 
-    The faulted instance's output is forced to the stuck value after
-    every combinational settle and on every flip-flop capture.  Lane
-    runs force faults through the compiled ``settle_forced`` kernel
-    instead (:class:`~repro.netlist.compile.BitParallelSimulator`).
+    A faulted combinational cell's step reads a constant truth table
+    (``(0, 0, 0, 0)`` or ``(1, 1, 1, 1)``), so the full settle and the
+    clock schedule's cone settle both drive the stuck value to every
+    downstream consumer.  The stuck net is also forced before every
+    settle and after every tick: that is what holds a faulted flop's
+    output (flops are not steps).  Lane runs force faults through the
+    compiled ``settle_forced`` kernel instead
+    (:class:`~repro.netlist.compile.BitParallelSimulator`).
     """
 
     def __init__(self, netlist: Netlist, fault: StuckAtFault) -> None:
         super().__init__(netlist)
         _SIMULATORS_BUILT.inc()
-        if not 0 <= fault.instance_index < len(netlist.instances):
+        cells = netlist.cells
+        if not 0 <= fault.instance_index < len(cells.kind):
             raise SimulationError(f"no instance {fault.instance_index}")
         self.fault = fault
-        self._fault_net = int(netlist.cells.output[fault.instance_index])
+        self._fault_net = int(cells.output[fault.instance_index])
+        if not cells.sequential[fault.instance_index]:
+            position = self._plan.cells.index(fault.instance_index)
+            _, out, a, b = self._steps[position]
+            self._steps = steps = list(self._steps)
+            steps[position] = ((fault.stuck_value,) * 4, out, a, b)
 
-    def _evaluate(self, cells) -> None:
-        # Levelized evaluation with the faulted driver overridden *in
-        # place*, so every downstream consumer sees the stuck value;
-        # the clock schedule's cone settle comes through here too.
-        values = self._values
-        values[self._fault_net] = self.fault.stuck_value
-        for instance in cells:
-            if instance.output == self._fault_net:
-                continue
-            function = CELL_FUNCTIONS[instance.cell]
-            values[instance.output] = function(
-                *(values[n] for n in instance.inputs)
-            )
+    def _evaluate(self, steps) -> None:
+        self._values[self._fault_net] = self.fault.stuck_value
+        super()._evaluate(steps)
 
     def tick(self) -> None:
         super().tick()

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import SimulationError
-from repro.netlist.core import Instance, Netlist
+from repro.netlist.core import Netlist
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,13 @@ class ClockSchedule:
 
     Attributes:
         address_cone: The combinational fan-in of ``addr_a`` and
-            ``addr_b``, in topological order -- what step 3 settles.
+            ``addr_b`` -- what step 3 settles -- as positions in the
+            netlist's stored topological order (``cells.order``),
+            ascending.  The interpreter's steps follow that order, so
+            a position is a step.
     """
 
-    address_cone: tuple[Instance, ...]
+    address_cone: tuple[int, ...]
 
     def clock(self, sim, read, fetch, load) -> tuple:
         """Advance ``sim`` one clock cycle (see the module docstring).
@@ -190,12 +193,12 @@ def clock_schedule(netlist: Netlist) -> ClockSchedule:
         )
     address = _cone(netlist, fanin, "addr_a", rdata, input_of)
     address |= _cone(netlist, fanin, "addr_b", rdata, input_of)
-    instances = netlist.instances
+    outputs = cells.output.tolist()
     cached = netlist._clock_schedule = ClockSchedule(
         tuple(
-            instances[cell]
-            for cell in cells.order.tolist()
-            if instances[cell].output in address
+            position
+            for position, cell in enumerate(cells.order.tolist())
+            if outputs[cell] in address
         )
     )
     return cached

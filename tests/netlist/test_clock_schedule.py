@@ -13,7 +13,7 @@ import pytest
 
 from repro.coregen import cosim
 from repro.coregen.config import CoreConfig, standard_sweep
-from repro.coregen.cosim import CoSimHarness
+from repro.coregen.cosim import CoSimHarness, architectural_nets
 from repro.coregen.generator import generate_core
 from repro.coregen.isa_map import encode_program_for_core
 from repro.errors import SimulationError
@@ -21,6 +21,7 @@ from repro.netlist.compile import BitParallelSimulator
 from repro.netlist.core import CONST0, CONST1, SEQUENTIAL_CELLS, Netlist
 from repro.netlist.lanes import LaneMemoryHarness, clock_schedule
 from repro.netlist.nsim import NumpySimulator
+from repro.netlist.sim import step_plan
 from repro.programs import build_benchmark
 from repro.verify import DEFAULT_CONFIGS, random_program
 from repro.verify.differential import ps_isa_variant
@@ -38,8 +39,9 @@ def assert_schedulable(netlist):
     rdata = {net for name in ("rdata_a", "rdata_b") for net in netlist.inputs[name]}
     addresses = {net for name in ("addr_a", "addr_b") for net in netlist.outputs[name]}
     assert not rdata & addresses
-    for cell in schedule.address_cone:
-        assert not rdata & set(cell.inputs), cell
+    cells = netlist.cells
+    for cell in cells.order[list(schedule.address_cone)].tolist():
+        assert not rdata & set(cells.inputs[cell].tolist()), cell
 
 
 class TestCones:
@@ -62,12 +64,19 @@ class TestCones:
         assert_schedulable(generate_core(ps_config))
 
     def test_memoized_and_dropped_on_pickle(self):
+        """The schedule, the interpreter's step plan and the
+        flag/BAR net index are built once per netlist and never pickled."""
         import pickle
 
         netlist = generate_core(CoreConfig(datawidth=8))
         assert clock_schedule(netlist) is clock_schedule(netlist)
+        assert step_plan(netlist) is step_plan(netlist)
+        assert architectural_nets(netlist) is architectural_nets(netlist)
         clone = pickle.loads(pickle.dumps(netlist))
-        assert not hasattr(clone, "_clock_schedule")
+        for memo in ("_clock_schedule", "_step_plan", "_architectural_nets"):
+            assert not hasattr(clone, memo), memo
+        assert step_plan(clone) == step_plan(netlist)
+        assert architectural_nets(clone) == architectural_nets(netlist)
 
 
 def combinational(netlist, rdata_a):

@@ -139,3 +139,10 @@ class TestCampaign:
         message = str(raised.value)
         assert repr(backend) in message
         assert "numpy, interpreted" in message
+
+    def test_interpreted_backend_refuses_lanes(self):
+        """The interpreter runs one fault at a time, so a lane count is
+        refused rather than silently ignored."""
+        program = assemble(".word x 1\nSTORE x, 2\nHALT\n", name="simple")
+        with pytest.raises(ConfigError, match="lanes=4"):
+            run_fault_campaign(program, stride=64, backend="interpreted", lanes=4)

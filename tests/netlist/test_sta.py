@@ -7,6 +7,7 @@ import pytest
 from repro.errors import TimingError
 from repro.netlist.components import ripple_adder
 from repro.netlist.core import CELL_ARITY, CELL_FUNCTIONS, Netlist
+from repro.netlist.sim import TRUTH_TABLES
 from repro.netlist.sta import INVERTING_CELLS, NON_MONOTONE_CELLS, timing_report
 from repro.pdk import cnt_tft_library, egfet_library
 
@@ -155,8 +156,14 @@ def test_polarity_class_matches_truth_table(cell):
     """The classes come from the numpy plans' ufunc groups; check each
     against its truth table: an inverting cell's output only ever falls
     when an input rises, a non-monotone cell's can move either way, and
-    every other cell follows its inputs."""
+    every other cell follows its inputs.  The interpreter's 4-entry
+    table of the cell must equal the function on every input (a
+    one-input cell reads its pin twice)."""
     function, arity = CELL_FUNCTIONS[cell], CELL_ARITY[cell]
+    table = TRUTH_TABLES[cell]
+    for pins in product((0, 1), repeat=arity):
+        a, b = pins if arity == 2 else pins * 2
+        assert table[a << 1 | b] == function(*pins), pins
     moves = set().union(*(_unateness(function, arity, pin) for pin in range(arity)))
     if cell in NON_MONOTONE_CELLS:
         assert moves == {"rise", "fall"}

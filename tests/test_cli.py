@@ -242,6 +242,7 @@ BAD_INPUT = [
     (["campaign", "--backend", "batched"], "--backend"),
     (["campaign", "--verify-suite", "--backend", "compiled"], "--backend"),
     (["campaign", "--verify-suite", "--backend", "interpreted"], "--verify-suite"),
+    (["campaign", "--backend", "interpreted", "--lanes", "4"], "--lanes"),
     (["place", "p1_8_2", "--technology", "FOO"], "--technology"),
     (["profile-design", "--technology", "egfet"], "--technology"),
     (["verify", "--executors", "numpy,ps_isa"], "--executors"),
